@@ -7,7 +7,7 @@ behavior, and validates everything against closed-form solutions.
 """
 
 from .grid import RadialField, RadialGrid, unit_sphere_area
-from .lab import RunReport, SuiteReport, SweepResult, run, suite_names, sweep, verify
+from .lab import RunReport, SuiteReport, SweepResult, run, simulate, suite_names, sweep, verify
 from .oracles import GaussianData, heat_solution, liftoff_limit, mass_growth_check, ou_solution
 from .profiles import (
     DriftProfile,
@@ -17,7 +17,6 @@ from .profiles import (
     ProfileRangeError,
     Tabulated,
     Zero,
-    eval_psi,
 )
 from .scenario import Scenario, ScenarioError, TabulatedInitial, parse_scenario
 from .solver import (
@@ -36,7 +35,6 @@ from .weights import (
     WeightFunction,
     classify,
     diagnostics,
-    phi,
     phi_radial_integral,
     phi_tail_bound,
     predict_liftoff_level,
@@ -72,18 +70,17 @@ __all__ = [
     "Zero",
     "classify",
     "diagnostics",
-    "eval_psi",
     "heat_solution",
     "liftoff_limit",
     "mass_growth_check",
     "ou_solution",
     "parse_scenario",
-    "phi",
     "phi_radial_integral",
     "phi_tail_bound",
     "predict_liftoff_level",
     "radial_rhs",
     "run",
+    "simulate",
     "solve",
     "step",
     "suite_names",

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import lab
-from .scenario import ScenarioError, parse_scenario
+from .scenario import SWEEPABLE, ScenarioError, parse_scenario
 from .weights import classify
 
 
@@ -92,15 +91,9 @@ def _cmd_verify(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / f"verify_{report.suite}.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, default=_json_default)
+            json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     return 0 if report.passed else 1
-
-
-def _json_default(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
-    return str(x)
 
 
 def main(argv=None) -> int:
@@ -108,8 +101,6 @@ def main(argv=None) -> int:
     common.add_argument("--out", default=None, metavar="DIR",
                         help="directory for output artifacts (default: no files)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="worker threads for sweeps (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="driftlab",
@@ -129,8 +120,9 @@ def main(argv=None) -> int:
     p_swp = sub.add_parser("sweep", parents=[common],
                            help="repeat a scenario over a list of parameter values")
     p_swp.add_argument("config", help="scenario config file")
-    p_swp.add_argument("--param", required=True,
-                       choices=["A", "beta", "alpha", "sigma", "n_dim", "r_max", "num_nodes", "dt"])
+    p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_swp.add_argument("--threads", type=int, default=1, metavar="K",
+                       help="worker threads (default 1)")
     p_swp.add_argument("--values", required=True, metavar="CSV",
                        help="comma-separated parameter values")
 

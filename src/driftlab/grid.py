@@ -108,5 +108,5 @@ class RadialField:
     def from_function(cls, grid: RadialGrid, fn) -> "RadialField":
         return cls(grid, fn(grid.nodes))
 
-    def is_radially_nonincreasing(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.values) <= tol))
+    def is_radially_nonincreasing(self) -> bool:
+        return bool(np.all(np.diff(self.values) <= 0.0))

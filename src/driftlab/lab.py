@@ -1,10 +1,11 @@
 """Experiment execution: single runs, parameter sweeps, verification suites.
 
-run() classifies the drift, simulates, evaluates diagnostics and invariant
-checks, cross-checks the predicted asymptotics against the observed ones, and
-writes frames.csv / diagnostics.csv / report.json.  verify() executes the
-named verification suite at a fixed reference resolution and reports one
-pass/fail line per check with the measured numbers.
+simulate() is the one place a Scenario becomes a Trajectory.  run()
+classifies the drift, simulates, evaluates diagnostics and invariant checks,
+cross-checks the predicted asymptotics against the observed ones, and writes
+frames.csv / diagnostics.csv / report.json.  verify() executes the named
+verification suite on reference scenarios declared once in this module and
+reports one pass/fail line per check with the measured numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ def _invariant_flags(traj: Trajectory, u0: RadialField, series: DiagnosticSeries
         flags["positivity"] = None
 
     certified = cfg.theta == 1.0 and cfg.advection == "upwind"
-    if u0.is_radially_nonincreasing(tol=0.0):
+    if u0.is_radially_nonincreasing():
         tol = (1e-10 if certified else 1e-6) * max(1.0, sup0)
         flags["radial_monotonicity"] = bool(
             all(np.all(np.diff(f.values) <= tol) for _, f in traj)
@@ -188,14 +189,19 @@ def _convergence_flag(traj: Trajectory, series: DiagnosticSeries, sup0: float) -
     return bool(flat_space and slope < 1e-5 * max(sup0, 1.0))
 
 
+def simulate(scenario: Scenario) -> Trajectory:
+    """The scenario's trajectory: the one place a Scenario becomes a solve."""
+    return solve(scenario.initial_field(), scenario.profile, scenario.solver, scenario.t_end)
+
+
 def run(scenario: Scenario, out_dir=None, quiet: bool = True) -> RunReport:
     """Classify, simulate, diagnose, check invariants, and emit artifacts."""
     t_start = time.perf_counter()
     result = classify(scenario.profile, scenario.n_dim)
 
-    u0 = scenario.initial_field()
+    traj = simulate(scenario)
+    u0 = traj.frames[0][1]
     sup0 = float(np.max(u0.values))
-    traj = solve(u0, scenario.profile, scenario.solver, scenario.t_end)
 
     lifts = result.verdict.lifts_off
     use_full_weight = lifts or result.verdict is Verdict.UNDETERMINED
@@ -281,11 +287,11 @@ class SweepResult:
     table: str
 
 
-def _sweep_one(base: Scenario, parameter: str, value, out_dir, quiet) -> SweepRow:
+def _sweep_one(base: Scenario, parameter: str, value, out_dir) -> SweepRow:
     try:
         scen = apply_parameter(base, parameter, value)
         scen_out = None if out_dir is None else Path(out_dir) / f"{parameter}={value:g}"
-        return SweepRow(value=value, report=run(scen, out_dir=scen_out, quiet=quiet))
+        return SweepRow(value=value, report=run(scen, out_dir=scen_out))
     except Exception as exc:  # recorded per row; the sweep continues
         return SweepRow(value=value, error=f"{type(exc).__name__}: {exc}")
 
@@ -317,13 +323,8 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
     Row order follows the given values regardless of execution order; a row
     failure is recorded in place and does not abort the remaining runs.
     """
-    values = list(values)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_one, base, parameter, v, out_dir, True) for v in values]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_sweep_one(base, parameter, v, out_dir, True) for v in values]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda v: _sweep_one(base, parameter, v, out_dir), values))
     table = _sweep_table(parameter, rows)
     if not quiet:
         print(table)
@@ -371,17 +372,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "threshold": c.threshold,
-                    "comparator": c.comparator,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "resolution": self.resolution,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -404,44 +395,43 @@ def _frame_at(traj: Trajectory, t_target: float) -> RadialField:
     raise KeyError(f"no snapshot at t = {t_target}")
 
 
-def _linear_oracle_run(t_end: float, stride: int):
-    g = GaussianData(sigma=1.0, n_dim=2)
-    grid = RadialGrid(r_max=20.0, num_nodes=2001, n_dim=2)
-    cfg = SolverConfig(dt=1e-3, theta=0.5, advection="centered",
-                       outer_bc="dirichlet_frozen", snapshot_stride=stride)
-    traj = solve(g.field(grid), Linear(), cfg, t_end)
-    return g, grid, traj
+def _gaussian_2d(name: str, profile, r_max: float, num_nodes: int, solver: SolverConfig,
+                 t_end: float, diag_radius: float) -> Scenario:
+    """A reference run from the unit Gaussian datum exp(-r^2/4) in dimension 2."""
+    return Scenario(name, profile, 2, GaussianData(sigma=1.0, n_dim=2),
+                    RadialGrid(r_max, num_nodes, 2), solver, t_end, diag_radius)
 
 
-def _supercritical_run():
-    profile = PowerLaw(amplitude=3.0, exponent=-1.0, r0=1.0)
-    grid = RadialGrid(r_max=40.0, num_nodes=4001, n_dim=2)
-    g = GaussianData(sigma=1.0, n_dim=2)
-    cfg = SolverConfig(dt=1e-3, theta=0.5, advection="centered",
-                       outer_bc="dirichlet_frozen", snapshot_stride=250)
-    u0 = g.field(grid)
-    traj = solve(u0, profile, cfg, 10.0)
-    return profile, grid, u0, traj
+# The suites' reference runs; each suite derives its variants with dataclasses.replace.
+# configs/linear_oracle.ini: psi = r, exact solution ou_solution, plateau 2/3
+LINEAR_ORACLE = _gaussian_2d("linear-oracle", Linear(), 20.0, 2001,
+                             SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=500), 6.0, 16.0)
+# psi = 3/r beyond r0 = 1: lifts off, the full-weight I_R is conserved
+BOUNDED_DRIFT = _gaussian_2d("bounded-drift", PowerLaw(3.0, -1.0, 1.0), 40.0, 4001,
+                             SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=250), 10.0, 32.0)
+# configs/subcritical.ini: psi = 1/r beyond r0 = 1 decays uniformly
+SUBCRITICAL = _gaussian_2d("subcritical", PowerLaw(1.0, -1.0, 1.0), 80.0, 4001,
+                           SolverConfig(dt=2e-3, theta=1.0, advection="upwind",
+                                        snapshot_stride=1000), 200.0, 64.0)
 
 
 def _suite_oracle():
     checks = []
-    g, grid, traj = _linear_oracle_run(t_end=3.0, stride=500)
-    r = grid.nodes
-    mask = r <= 0.8 * grid.r_max
+    scen = replace(LINEAR_ORACLE, t_end=3.0)
+    traj = simulate(scen)
+    r = scen.grid.nodes
+    mask = r <= 0.8 * scen.grid.r_max
     worst = 0.0
     for t_target in (0.5, 1.0, 2.0, 3.0):
         fld = _frame_at(traj, t_target)
-        exact = ou_solution(g, r[mask], t_target)
+        exact = ou_solution(scen.initial, r[mask], t_target)
         worst = max(worst, float(np.max(np.abs(fld.values[mask] - exact))))
     checks.append(_check_le("oracle_equivalence", worst, 1e-3,
                             "max |numeric - exact| over r <= 16, t in {0.5,1,2,3}, sup u0 = 1"))
 
-    grid2 = RadialGrid(r_max=30.0, num_nodes=3001, n_dim=2)
-    cfg2 = SolverConfig(dt=1e-3, theta=0.5, advection="centered",
-                        outer_bc="dirichlet_frozen", snapshot_stride=100)
-    traj2 = solve(GaussianData(1.0, 2).field(grid2), Linear(), cfg2, 1.5)
-    rows = mass_growth_check(traj2)
+    wide = replace(LINEAR_ORACLE, grid=replace(LINEAR_ORACLE.grid, r_max=30.0, num_nodes=3001),
+                   solver=replace(LINEAR_ORACLE.solver, snapshot_stride=100), t_end=1.5)
+    rows = mass_growth_check(simulate(wide))
     worst2 = max(abs(mass - pred) / pred for _, mass, pred in rows)
     checks.append(_check_le("mass_growth", worst2, 0.02,
                             "relative error of mass(t) against e^{2t} * mass(0), t in [0, 1.5]"))
@@ -451,27 +441,21 @@ def _suite_oracle():
 
 def _suite_liftoff():
     checks = []
-    g, grid, traj = _linear_oracle_run(t_end=6.0, stride=1000)
-    target = liftoff_limit(g)  # 2/3 for sigma=1, n=2
-    center = float(traj.final.values[0])
+    center = run(LINEAR_ORACLE).final_center
+    target = liftoff_limit(LINEAR_ORACLE.initial)  # 2/3 for sigma=1, n=2
     checks.append(_check_le("liftoff_level", abs(center - target) / target, 0.02,
                             f"|u(0, 6) - {target:.6g}| relative to the exact plateau"))
 
-    profile, sgrid, u0, straj = _supercritical_run()
-    w = WeightFunction(profile)
-    h_pred = predict_liftoff_level(u0, w, 2)
-    center2 = float(straj.final.values[0])
-    checks.append(_check_le("liftoff_prediction", abs(center2 - h_pred) / h_pred, 0.02,
-                            f"u(0, 10) = {center2:.6g} vs h_pred = {h_pred:.6g} from quadrature"))
+    rep = run(BOUNDED_DRIFT)
+    checks.append(_check_le("liftoff_prediction", rep.discrepancy, 0.02,
+                            f"u(0, 10) = {rep.h_obs:.6g} vs h_pred = {rep.h_pred:.6g} "
+                            "from quadrature"))
     return checks, {"linear": "r_max=20, 2001 nodes, dt=1e-3, t_end=6",
                     "bounded_drift": "A=3, beta=-1, r_max=40, 4001 nodes, dt=1e-3, t_end=10"}
 
 
 def _suite_conservation():
-    profile, grid, u0, traj = _supercritical_run()
-    w = WeightFunction(profile)
-    series = diagnostics(traj, w, 32.0)
-    iw = series.weighted_mass
+    iw = run(BOUNDED_DRIFT).series.weighted_mass
     drift = float(np.max(np.abs(iw - iw[0])) / abs(iw[0]))
     checks = [_check_le("weighted_mass_conservation", drift, 1e-3,
                         "max relative drift of I_R, R=32, full weight")]
@@ -479,24 +463,14 @@ def _suite_conservation():
 
 
 def _suite_decay():
-    profile = PowerLaw(amplitude=1.0, exponent=-1.0, r0=1.0)
-    grid = RadialGrid(r_max=80.0, num_nodes=4001, n_dim=2)
-    g = GaussianData(sigma=1.0, n_dim=2)
-    cfg = SolverConfig(dt=2e-3, theta=1.0, advection="upwind",
-                       outer_bc="dirichlet_frozen", snapshot_stride=1000)
-    u0 = g.field(grid)
-    traj = solve(u0, profile, cfg, 200.0)
-    sups = np.array([float(np.max(f.values)) for _, f in traj])
-    sup0 = sups[0]
-
+    series = run(SUBCRITICAL).series
+    sups = series.sup
     checks = [
         _check_le("decay_sup_monotone", float(np.max(np.diff(sups))), 1e-8,
                   "largest framewise increase of sup u"),
-        _check_le("decay_sup_small", float(np.min(sups)) / sup0, DECAY_SUP_FRACTION,
+        _check_le("decay_sup_small", float(np.min(sups)) / sups[0], DECAY_SUP_FRACTION,
                   "min over frames of sup u / sup u0, t <= 200"),
     ]
-    w_plus = WeightFunction(profile, positive_part=True)
-    series = diagnostics(traj, w_plus, 64.0)
     iw = series.weighted_mass
     rise = float(np.max((iw[1:] - iw[:-1]) / iw[:-1]))
     checks.append(_check_le("decay_weighted_mass_monotone", rise, MONOTONE_MASS_RTOL,
@@ -569,10 +543,9 @@ def _suite_invariants():
             if t > 0 and v[0] <= 0:
                 worst["positivity"] = math.inf
 
-        for cfg in (cert, acc):
-            mix0 = RadialField(grid, 2.0 * u0.values + 3.0 * v0.values)
+        mix0 = RadialField(grid, 2.0 * u0.values + 3.0 * v0.values)
+        for cfg, ta in ((cert, traj), (acc, solve(u0, profile, acc, t_end))):
             tm = solve(mix0, profile, cfg, t_end)
-            ta = solve(u0, profile, cfg, t_end)
             tb = solve(v0, profile, cfg, t_end)
             for (_, fm), (_, fa), (_, fb) in zip(tm, ta, tb):
                 lin = 2.0 * fa.values + 3.0 * fb.values
@@ -593,17 +566,17 @@ def _suite_invariants():
 
 
 def _suite_convergence():
-    g = GaussianData(sigma=1.0, n_dim=2)
     levels = [(301, 4e-3), (601, 2e-3), (1201, 1e-3)]
     errors = []
     for num_nodes, dt in levels:
-        grid = RadialGrid(r_max=12.0, num_nodes=num_nodes, n_dim=2)
-        cfg = SolverConfig(dt=dt, theta=0.5, advection="centered",
-                           outer_bc="dirichlet_frozen", snapshot_stride=10**9)
-        traj = solve(g.field(grid), Linear(), cfg, 1.0)
-        r = grid.nodes
-        mask = r <= 0.8 * grid.r_max
-        exact = ou_solution(g, r[mask], 1.0)
+        scen = replace(LINEAR_ORACLE,
+                       grid=replace(LINEAR_ORACLE.grid, r_max=12.0, num_nodes=num_nodes),
+                       solver=replace(LINEAR_ORACLE.solver, dt=dt, snapshot_stride=10**9),
+                       t_end=1.0)
+        traj = simulate(scen)
+        r = scen.grid.nodes
+        mask = r <= 0.8 * scen.grid.r_max
+        exact = ou_solution(scen.initial, r[mask], 1.0)
         errors.append(float(np.max(np.abs(traj.final.values[mask] - exact))))
     p1 = math.log2(errors[0] / errors[1])
     p2 = math.log2(errors[1] / errors[2])

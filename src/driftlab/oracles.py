@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid, radial_trapezoid, unit_sphere_area
-from .profiles import Linear
+from .grid import RadialField, RadialGrid
+from .profiles import Linear, Zero
 from .solver import Trajectory
+from .weights import WeightFunction, weighted_mass
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,12 @@ def mass_growth_check(traj: Trajectory) -> list[tuple[float, float, float]]:
     if not isinstance(traj.profile, Linear):
         raise ValueError("mass growth check applies to the linear drift profile only")
     grid = traj.grid
-    r = grid.nodes
-    n = grid.n_dim
-    area = unit_sphere_area(n)
+    unit = WeightFunction(Zero())
     rows = []
     mass0 = None
     for t, field in traj:
-        mass = area * radial_trapezoid(r, field.values, n)
+        mass = weighted_mass(field, unit, grid.r_max)
         if mass0 is None:
             mass0 = mass
-        rows.append((t, mass, math.exp(n * t) * mass0))
+        rows.append((t, mass, math.exp(grid.n_dim * t) * mass0))
     return rows

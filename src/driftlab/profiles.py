@@ -291,7 +291,3 @@ class Tabulated(DriftProfile):
             out_p.append(max(p[k + 1], 0.0))
         return Tabulated(out_r, out_p)
 
-
-def eval_psi(profile: DriftProfile, r):
-    """Drift speed psi(r) of the given profile; scalar in, scalar out."""
-    return profile.psi(r)

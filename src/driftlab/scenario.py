@@ -10,7 +10,7 @@ Schema (key = value, one section per bracket):
     [initial]  kind = gaussian|tabulated
                sigma                (gaussian)
                samples = r:u, ...   or  file = path.csv   (tabulated)
-    [solver]   dt, theta, advection = centered|upwind,
+    [solver]   dt, theta, advection = centered|upwind (centered needs n <= 3),
                outer_bc = neumann|dirichlet_frozen, snapshot_stride
     [run]      t_end, diag_radius, name
 
@@ -29,7 +29,7 @@ import numpy as np
 from .grid import RadialField, RadialGrid
 from .oracles import GaussianData
 from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero
-from .solver import SolverConfig
+from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig
 
 DEFAULT_R_MAX = 20.0
 DEFAULT_NUM_NODES = 2001
@@ -224,6 +224,15 @@ def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
     return TabulatedInitial(rs, vs)
 
 
+def _check_advection(solver: SolverConfig, n_dim: int) -> None:
+    # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
+    # the implicit matrix is then no M-matrix and positivity is not guaranteed.
+    if solver.advection == "centered" and n_dim >= 4:
+        raise ScenarioError(
+            f"solver.advection: centered advection needs n <= 3, got n = {n_dim}; use upwind"
+        )
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document, applying defaults for omissions."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
@@ -268,14 +277,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             dt=_num("solver", "dt", solver_v.get("dt", repr(DEFAULT_DT))),
             theta=_num("solver", "theta", solver_v.get("theta", repr(DEFAULT_THETA))),
             advection=_choice("solver", "advection", solver_v.get("advection", DEFAULT_ADVECTION),
-                              ("centered", "upwind")),
+                              ADVECTION_MODES),
             outer_bc=_choice("solver", "outer_bc", solver_v.get("outer_bc", DEFAULT_OUTER_BC),
-                             ("neumann", "dirichlet_frozen")),
+                             OUTER_BCS),
             snapshot_stride=_int("solver", "snapshot_stride",
                                  solver_v.get("snapshot_stride", str(DEFAULT_SNAPSHOT_STRIDE))),
         )
     except ValueError as exc:
         raise ScenarioError(f"solver: {exc}") from exc
+    _check_advection(solver, n_dim)
 
     t_end = _num("run", "t_end", run_v.get("t_end", repr(DEFAULT_T_END)))
     if t_end < 0:
@@ -305,13 +315,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     )
 
 
-_SWEEPABLE = ("A", "beta", "alpha", "sigma", "n_dim", "r_max", "num_nodes", "dt")
+SWEEPABLE = ("A", "beta", "alpha", "sigma", "n_dim", "r_max", "num_nodes", "dt")
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     """Return a copy of the scenario with one sweep parameter replaced."""
-    if parameter not in _SWEEPABLE:
-        raise ScenarioError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
+    if parameter not in SWEEPABLE:
+        raise ScenarioError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if parameter in ("A", "beta"):
         if not isinstance(scenario.profile, PowerLaw):
             raise ScenarioError(f"parameter {parameter!r} requires a powerlaw profile")
@@ -327,6 +337,7 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
         return replace(scenario, initial=replace(scenario.initial, sigma=float(value)))
     if parameter == "n_dim":
         n = int(value)
+        _check_advection(scenario.solver, n)
         grid = replace(scenario.grid, n_dim=n)
         profile = scenario.profile
         if isinstance(profile, LogCorrected):

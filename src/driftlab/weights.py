@@ -27,6 +27,8 @@ from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Z
 from .solver import Trajectory
 
 _CRITICAL_BAND = 1e-9
+# trapezoid panels per unit radius where the weight has no closed-form integral
+PANELS_PER_UNIT = 10_000.0
 
 
 class _NoClosedForm(Exception):
@@ -38,17 +40,13 @@ class WeightFunction:
 
     Closed forms are used for the analytic families (including their ramps);
     the remaining case (positive part of a sign-changing profile) falls back
-    to a cached composite-trapezoid cumulative integral at panels_per_unit
+    to a cached composite-trapezoid cumulative integral at PANELS_PER_UNIT
     resolution.
     """
 
-    def __init__(self, profile: DriftProfile, positive_part: bool = False,
-                 panels_per_unit: float = 10_000.0):
-        if panels_per_unit <= 0:
-            raise ValueError("panels_per_unit must be positive")
+    def __init__(self, profile: DriftProfile, positive_part: bool = False):
         self.profile = profile
         self.positive_part = bool(positive_part)
-        self.panels_per_unit = float(panels_per_unit)
         self._pos_tab = None
         if self.positive_part and isinstance(profile, Tabulated) and not profile.nonnegative:
             self._pos_tab = profile.positive_part()
@@ -80,7 +78,7 @@ class WeightFunction:
             cap = 64.0
             while cap < r_need:
                 cap *= 2.0
-            npts = int(min(cap * self.panels_per_unit, 4e6)) + 1
+            npts = int(min(cap * PANELS_PER_UNIT, 4e6)) + 1
             grid = np.linspace(0.0, cap, npts)
             g = np.maximum(np.asarray(self.profile.psi(grid), dtype=float), 0.0)
             seg = 0.5 * (g[1:] + g[:-1]) * np.diff(grid)
@@ -90,13 +88,12 @@ class WeightFunction:
         return out if np.ndim(r) else float(out)
 
 
-def phi(w: WeightFunction, r):
-    """Weight value exp(-int_0^r psi)."""
-    return w.phi(r)
-
-
 def weighted_mass(u: RadialField, w: WeightFunction, radius: float) -> float:
-    """int_{|x|<=radius} phi(|x|) u(x) dx by trapezoid on the solver grid."""
+    """int_{|x|<=radius} phi(|x|) u(x) dx by trapezoid on the solver grid.
+
+    This is the package's one radial quadrature of a field: the plain mass is
+    the weighted mass under the unit weight WeightFunction(Zero()).
+    """
     grid = u.grid
     if radius > grid.r_max * (1 + 1e-12):
         raise ValueError(f"radius {radius} exceeds grid r_max {grid.r_max}")
@@ -202,7 +199,7 @@ def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float
         raise ValueError("cannot integrate the weight to infinity without a closed form")
     if b <= a:
         return 0.0
-    npts = int(min(max(32, math.ceil((b - a) * w.panels_per_unit)), 4_000_000)) + 1
+    npts = int(min(max(32, math.ceil((b - a) * PANELS_PER_UNIT)), 4_000_000)) + 1
     r = np.linspace(a, b, npts)
     with np.errstate(over="ignore"):
         f = np.asarray(w.phi(r)) * r ** (n_dim - 1)
@@ -440,21 +437,15 @@ class DiagnosticSeries:
 
 def diagnostics(traj: Trajectory, w: WeightFunction, radius: float) -> DiagnosticSeries:
     """Weighted mass I_R, sup u, center value, and plain mass at every snapshot."""
-    grid = traj.grid
-    if radius > grid.r_max * (1 + 1e-12):
-        raise ValueError(f"radius {radius} exceeds grid r_max {grid.r_max}")
-    r = grid.nodes
-    n = grid.n_dim
-    area = unit_sphere_area(n)
-    phig = np.asarray(w.phi(r))
+    unit = WeightFunction(Zero())
     times, iw, sup, center, mass = [], [], [], [], []
     for t, field in traj:
         v = field.values
         times.append(t)
-        iw.append(area * radial_trapezoid(r, phig * v, n, upper=radius))
+        iw.append(weighted_mass(field, w, radius))
         sup.append(float(np.max(v)))
         center.append(float(v[0]))
-        mass.append(area * radial_trapezoid(r, v, n, upper=radius))
+        mass.append(weighted_mass(field, unit, radius))
     return DiagnosticSeries(
         np.array(times), np.array(iw), np.array(sup), np.array(center), np.array(mass), radius
     )

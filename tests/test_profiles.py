@@ -13,7 +13,6 @@ from driftlab.profiles import (
     ProfileRangeError,
     Tabulated,
     Zero,
-    eval_psi,
 )
 
 ALL_PROFILES = [
@@ -29,24 +28,24 @@ ALL_PROFILES = [
 
 
 def test_zero_profile_is_identically_zero():
-    assert eval_psi(Zero(), 7.3) == 0.0
+    assert Zero().psi(7.3) == 0.0
 
 
 def test_powerlaw_point_value():
     # A r^beta at r = 2 with A=3, beta=-1
-    assert eval_psi(PowerLaw(3.0, -1.0, 1.0), 2.0) == pytest.approx(1.5, rel=1e-15)
+    assert PowerLaw(3.0, -1.0, 1.0).psi(2.0) == pytest.approx(1.5, rel=1e-15)
 
 
 def test_logcorrected_point_value():
     # (n + alpha/log r)/r at r = e^2, n=2, alpha=2: (2 + 1)/e^2
     p = LogCorrected(n_dim=2, alpha=2.0, r0=math.e)
-    assert eval_psi(p, math.e**2) == pytest.approx(3.0 / math.e**2, rel=1e-14)
-    assert eval_psi(p, math.e**2) == pytest.approx(0.4060058497098381, rel=1e-12)
+    assert p.psi(math.e**2) == pytest.approx(3.0 / math.e**2, rel=1e-14)
+    assert p.psi(math.e**2) == pytest.approx(0.4060058497098381, rel=1e-12)
 
 
 @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: type(p).__name__)
 def test_origin_value_is_zero(profile):
-    assert eval_psi(profile, 0.0) == 0.0
+    assert profile.psi(0.0) == 0.0
 
 
 def test_far_field_formula_exact():

@@ -110,6 +110,24 @@ def test_solver_validation_propagates():
         parse_scenario(MINIMAL + "\n[solver]\nadvection = weno\n")
 
 
+def test_centered_advection_rejected_from_dimension_four():
+    # centered row 1 loses the M-matrix sign pattern for n >= 4
+    with pytest.raises(ScenarioError, match=r"solver\.advection"):
+        parse_scenario(MINIMAL.replace("n = 2", "n = 4"))
+    with pytest.raises(ScenarioError, match=r"solver\.advection"):
+        parse_scenario(MINIMAL.replace("n = 2", "n = 4") + "\n[solver]\nadvection = centered\n")
+    upwind = parse_scenario(MINIMAL.replace("n = 2", "n = 4") + "\n[solver]\nadvection = upwind\n")
+    assert upwind.n_dim == 4 and upwind.solver.advection == "upwind"
+    assert parse_scenario(MINIMAL.replace("n = 2", "n = 3")).solver.advection == "centered"
+
+
+def test_dimension_sweep_rejects_centered_advection_from_four():
+    s = parse_scenario(MINIMAL)
+    assert apply_parameter(s, "n_dim", 3).n_dim == 3
+    with pytest.raises(ScenarioError, match=r"solver\.advection"):
+        apply_parameter(s, "n_dim", 4)
+
+
 def test_diag_radius_must_fit_domain():
     with pytest.raises(ScenarioError, match=r"run\.diag_radius"):
         parse_scenario(MINIMAL + "\n[run]\ndiag_radius = 25\n")

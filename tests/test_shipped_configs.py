@@ -19,6 +19,14 @@ def test_config_parses(path):
     assert scenario.diag_radius <= scenario.grid.r_max
 
 
+@pytest.mark.parametrize("stem,reference", [("linear_oracle", lab.LINEAR_ORACLE),
+                                            ("subcritical", lab.SUBCRITICAL)])
+def test_lab_reference_scenarios_are_the_shipped_configs(stem, reference):
+    # the verify suites and `driftlab simulate` must run the very same scenario
+    path = CONFIG_DIR / f"{stem}.ini"
+    assert parse_scenario(path.read_text(), name=stem) == reference
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_verdict_matches_observed_behavior(path):
     scenario = parse_scenario(path.read_text(), name=path.stem)

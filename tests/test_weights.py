@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from driftlab import weights
 from driftlab.grid import RadialField, RadialGrid
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
@@ -15,7 +16,6 @@ from driftlab.weights import (
     WeightFunction,
     classify,
     diagnostics,
-    phi,
     phi_radial_integral,
     phi_tail_bound,
     predict_liftoff_level,
@@ -28,14 +28,14 @@ from driftlab.weights import (
 
 def test_phi_zero_profile_is_one():
     w = WeightFunction(Zero())
-    assert phi(w, 0.0) == 1.0
-    assert phi(w, 13.7) == 1.0
+    assert w.phi(0.0) == 1.0
+    assert w.phi(13.7) == 1.0
 
 
 def test_phi_linear_profile_closed_form():
     w = WeightFunction(Linear())
-    assert phi(w, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-    assert phi(w, 0.0) == 1.0
+    assert w.phi(1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
+    assert w.phi(0.0) == 1.0
 
 
 @pytest.mark.parametrize("profile", [
@@ -47,7 +47,7 @@ def test_phi_linear_profile_closed_form():
 ], ids=lambda p: type(p).__name__)
 def test_phi_normalization_and_positivity(profile):
     w = WeightFunction(profile)
-    assert phi(w, 0.0) == 1.0
+    assert w.phi(0.0) == 1.0
     r = np.linspace(0.0, 5.0, 400)
     vals = np.asarray(w.phi(r))
     assert np.all(vals > 0)
@@ -163,7 +163,7 @@ def test_classifier_tabulated_is_undetermined():
     assert lo <= hi
 
 
-def test_classifier_integrability_coherence():
+def test_classifier_integrability_coherence(monkeypatch):
     # verdict lifts off <=> the weight-mass integral converges under radius
     # doubling.  Critical-line profiles are excluded: their integrals converge
     # or diverge only logarithmically, which is exactly why they are resolved
@@ -177,9 +177,11 @@ def test_classifier_integrability_coherence():
         (Linear(), 2, True),
         (Zero(), 3, False),
     ]
+    # coarse panels keep the numeric segments of the radius doubling cheap
+    monkeypatch.setattr(weights, "PANELS_PER_UNIT", 8.0)
     for profile, n, lifts in cases:
         assert classify(profile, n).verdict.lifts_off is lifts
-        w = WeightFunction(profile, panels_per_unit=8)
+        w = WeightFunction(profile)
         with np.errstate(over="ignore"):
             prev = phi_radial_integral(w, n, 8.0)
             converged = False
@@ -318,8 +320,8 @@ def test_diagnostics_radius_validation():
 @given(amplitude=st.floats(-4, 4), exponent=st.floats(-2.5, 1.5), r=st.floats(0, 30))
 def test_phi_positive_and_normalized(amplitude, exponent, r):
     w = WeightFunction(PowerLaw(amplitude, exponent, 1.0))
-    assert phi(w, 0.0) == 1.0
-    val = phi(w, r)
+    assert w.phi(0.0) == 1.0
+    val = w.phi(r)
     assert val >= 0.0
     if w.cumulative(r) < 700.0:  # beyond that exp(-Psi) underflows to 0 in doubles
         assert val > 0.0
