@@ -57,13 +57,12 @@ def _fmt(x: float) -> str:
 
 
 def write_frames_csv(path, traj: Trajectory) -> None:
-    r = traj.grid.nodes
+    rs = [_fmt(ri) for ri in traj.grid.nodes.tolist()]
     with open(path, "w") as fh:
         fh.write("t,r,u\n")
         for t, fld in traj:
             ts = _fmt(t)
-            for ri, ui in zip(r, fld.values):
-                fh.write(f"{ts},{_fmt(ri)},{_fmt(ui)}\n")
+            fh.writelines(f"{ts},{ri},{ui:.17g}\n" for ri, ui in zip(rs, fld.values.tolist()))
 
 
 def write_diagnostics_csv(path, series: DiagnosticSeries) -> None:

@@ -10,7 +10,9 @@ advection), time with the one-parameter theta scheme
 
     (I - theta*dt*L) u_new = (I + (1-theta)*dt*L) u_old,
 
-solved exactly by a banded LAPACK factorization each step.  With theta = 1 and
+solved exactly: the tridiagonal implicit matrix is factored once per solve
+(LAPACK dgttrf, LU with partial pivoting) and each step is one pair of
+triangular solves with that factorization (dgttrs).  With theta = 1 and
 upwind advection the implicit matrix is an M-matrix with unit row sums, so the
 update is a convex combination of old node values: new values stay inside
 [min u_old, max u_old], non-negativity and radial monotonicity are preserved
@@ -22,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import RadialField, RadialGrid
 from .profiles import DriftProfile
@@ -160,32 +161,34 @@ def radial_rhs(u: RadialField, profile: DriftProfile, outer_bc: str = "dirichlet
 
 
 class _ThetaStepper:
-    """Assembled theta-scheme for one fixed dt; advance() performs one step."""
+    """Theta-scheme for one fixed dt, factored once; advance() performs one step."""
 
     def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
         lo, d, up = operator_diagonals(grid, profile, config.advection, config.outer_bc)
         theta = config.theta
-        N = grid.num_nodes
-        ab = np.zeros((3, N))
-        ab[0, 1:] = -theta * dt * up[:-1]
-        ab[1, :] = 1.0 - theta * dt * d
-        ab[2, :-1] = -theta * dt * lo[1:]
-        self._ab = ab
+        *lu, info = dgttrf(-theta * dt * lo[1:], 1.0 - theta * dt * d, -theta * dt * up[:-1])
+        if info > 0:
+            raise SolverError(f"singular implicit system: zero pivot in row {info}")
+        self._lu = lu
         self._explicit = None
         if theta < 1.0:
             w = (1.0 - theta) * dt
-            self._explicit = (w * lo, w * d, w * up)
+            self._explicit = (w * lo[1:], w * d, w * up[:-1])
+            self._rhs = np.empty(grid.num_nodes)
+            self._off = np.empty(grid.num_nodes - 1)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         if self._explicit is None:
             rhs = v
         else:
+            # v + apply_tridiagonal(w*lo, w*d, w*up, v), same operation order, no allocation
             lo, d, up = self._explicit
-            rhs = v + apply_tridiagonal(lo, d, up, v)
-        try:
-            return solve_banded((1, 1), self._ab, rhs, check_finite=False)
-        except LinAlgError as exc:
-            raise SolverError(f"singular implicit system: {exc}") from exc
+            rhs, off = self._rhs, self._off
+            np.multiply(d, v, out=rhs)
+            rhs[1:] += np.multiply(lo, v[:-1], out=off)
+            rhs[:-1] += np.multiply(up, v[1:], out=off)
+            np.add(v, rhs, out=rhs)
+        return dgttrs(*self._lu, rhs)[0]
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
@@ -219,16 +222,36 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
 
     frames = [(0.0, u0)]
     stepper = _ThetaStepper(u0.grid, profile, config, dt)
+    stride = config.snapshot_stride
+    good_k, good_v = 0, u0.values
     v = u0.values
     for k in range(1, n_full + 1):
         v = stepper.advance(v)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
-        if k % config.snapshot_stride == 0 and not (k == n_full and remainder == 0.0):
-            frames.append((k * dt, RadialField(u0.grid, v)))
+        if k % stride == 0 or k == n_full:
+            if not np.all(np.isfinite(v)):
+                k = _first_bad_step(stepper, good_v, good_k, k)
+                raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
+            good_k, good_v = k, v
+            if k % stride == 0 and not (k == n_full and remainder == 0.0):
+                frames.append((k * dt, RadialField(u0.grid, v)))
     if remainder > 0.0:
         v = _ThetaStepper(u0.grid, profile, config, remainder).advance(v)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(f"non-finite values in final shortened step (t = {t_end:g})")
     frames.append((t_end, RadialField(u0.grid, v)))
     return Trajectory(frames, profile, config)
+
+
+def _first_bad_step(stepper: _ThetaStepper, v: np.ndarray, k: int, k_bad: int) -> int:
+    """First non-finite step after the finite state v at step k; step k_bad is non-finite.
+
+    Non-finite values never become finite again: the factors are finite, so
+    every product, sum and division with a NaN or Inf (0*Inf = NaN) stays
+    non-finite.  Replaying the same arithmetic from v therefore meets the step
+    a check after every step would have named.
+    """
+    for k in range(k + 1, k_bad):
+        v = stepper.advance(v)
+        if not np.all(np.isfinite(v)):
+            return k
+    return k_bad

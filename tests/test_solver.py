@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
+from driftlab import solver
 from driftlab.grid import RadialField, RadialGrid
 from driftlab.oracles import GaussianData, heat_solution
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.solver import (
     DivergenceError,
     SolverConfig,
+    SolverError,
     Trajectory,
+    apply_tridiagonal,
     operator_diagonals,
     radial_rhs,
     solve,
@@ -189,10 +193,82 @@ def test_divergence_reported_with_step_index():
     # forward Euler far beyond its stability limit must blow up, not return junk
     g = RadialGrid(1.0, 101, 2)
     u0 = GaussianData(1.0, 2).field(g)
-    cfg = SolverConfig(dt=1.0, theta=0.0, snapshot_stride=1)
-    with np.errstate(all="ignore"):
-        with pytest.raises(DivergenceError, match="step"):
-            solve(u0, Zero(), cfg, 200.0)
+    # finiteness is checked per snapshot stride and the first bad step found
+    # by replay: every stride must name the step a per-step check names
+    for stride in (1, 7, 67, 68, 10**9):
+        cfg = SolverConfig(dt=1.0, theta=0.0, snapshot_stride=stride)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"at step 68 \(t = 68\)$"):
+                solve(u0, Zero(), cfg, 200.0)
+
+
+def _reference_solve(u0, profile, cfg, n_full, t_end):
+    """The theta-scheme as a plain loop: banded I - theta*dt*L solved afresh every step."""
+    lo, d, up = operator_diagonals(u0.grid, profile, cfg.advection, cfg.outer_bc)
+
+    def advance(v, dt):
+        ab = np.zeros((3, len(v)))
+        ab[0, 1:] = -cfg.theta * dt * up[:-1]
+        ab[1, :] = 1.0 - cfg.theta * dt * d
+        ab[2, :-1] = -cfg.theta * dt * lo[1:]
+        w = (1.0 - cfg.theta) * dt
+        rhs = v + apply_tridiagonal(w * lo, w * d, w * up, v) if cfg.theta < 1.0 else v
+        return solve_banded((1, 1), ab, rhs)
+
+    v, frames = u0.values, [u0.values]
+    for k in range(1, n_full + 1):
+        v = advance(v, cfg.dt)
+        if k % cfg.snapshot_stride == 0:
+            frames.append(v)
+    frames.append(advance(v, t_end - n_full * cfg.dt))
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("theta,advection", [(0.5, "centered"), (1.0, "upwind")])
+@pytest.mark.parametrize("outer_bc", ["dirichlet_frozen", "neumann"])
+def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
+    g = _grid(nodes=101)
+    u0 = GaussianData(1.0, 2).field(g)
+    cfg = SolverConfig(dt=1e-2, theta=theta, advection=advection, outer_bc=outer_bc,
+                       snapshot_stride=7)
+    traj = solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, 0.305)  # 30 steps + a shortened one
+    expected = _reference_solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, 30, 0.305)
+    assert np.array_equal(np.array([f.values for _, f in traj]), expected)
+
+
+def test_solve_factors_once_per_step_size(monkeypatch):
+    calls, dgttrf = [], solver.dgttrf
+
+    def counting_dgttrf(dl, d, du):
+        calls.append(len(d))
+        return dgttrf(dl, d, du)
+
+    monkeypatch.setattr(solver, "dgttrf", counting_dgttrf)
+    g = _grid(nodes=51)
+    u0 = GaussianData(1.0, 2).field(g)
+    cfg = SolverConfig(dt=1e-2, snapshot_stride=5)
+    solve(u0, Zero(), cfg, 0.2)
+    assert calls == [51]
+    calls.clear()
+    solve(u0, Zero(), cfg, 0.205)  # shortened final step: its own factorization
+    assert calls == [51, 51]
+
+
+def test_zero_pivot_raises_solver_error(monkeypatch):
+    # I - theta*dt*L with a zero row: theta*dt*diag = 1 exactly at node 5
+    def singular_operator(grid, profile, advection, outer_bc):
+        d = np.zeros(grid.num_nodes)
+        d[5] = 2.0
+        return np.zeros(grid.num_nodes), d, np.zeros(grid.num_nodes)
+
+    monkeypatch.setattr(solver, "operator_diagonals", singular_operator)
+    g = _grid(nodes=51)
+    u0 = GaussianData(1.0, 2).field(g)
+    cfg = SolverConfig(dt=0.5, theta=1.0)
+    with pytest.raises(SolverError, match="zero pivot in row 6"):
+        solve(u0, Zero(), cfg, 1.0)
+    with pytest.raises(SolverError, match="zero pivot"):
+        step(u0, Zero(), cfg)
 
 
 def test_consistency_order_against_heat_oracle():
