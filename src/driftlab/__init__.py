@@ -24,7 +24,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     Trajectory,
-    radial_rhs,
     solve,
     step,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "phi_radial_integral",
     "phi_tail_bound",
     "predict_liftoff_level",
-    "radial_rhs",
     "run",
     "simulate",
     "solve",

@@ -35,27 +35,6 @@ def unit_sphere_area(n_dim: int) -> float:
     return 2.0 * math.pi ** (n_dim / 2.0) / g
 
 
-def radial_trapezoid(r: np.ndarray, f: np.ndarray, n_dim: int, upper: float | None = None) -> float:
-    """Trapezoid rule for int_0^upper f(r) r^{n-1} dr on the node set r.
-
-    ``upper`` may fall between nodes; the top segment is then integrated
-    against the linearly interpolated integrand.  ``upper=None`` integrates
-    over the whole node range.  No unit-sphere factor is applied.
-    """
-    g = f * r ** (n_dim - 1)
-    if upper is None:
-        return float(np.trapezoid(g, r))
-    if upper < r[0] - 1e-12 or upper > r[-1] * (1 + 1e-12) + 1e-12:
-        raise ValueError(f"integration bound {upper} outside node range [{r[0]}, {r[-1]}]")
-    upper = min(upper, r[-1])
-    k = int(np.searchsorted(r, upper, side="right"))
-    total = float(np.trapezoid(g[:k], r[:k])) if k >= 2 else 0.0
-    if k <= len(r) - 1 and upper > r[k - 1]:
-        g_up = g[k - 1] + (g[k] - g[k - 1]) * (upper - r[k - 1]) / (r[k] - r[k - 1])
-        total += 0.5 * (g[k - 1] + g_up) * (upper - r[k - 1])
-    return total
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Evenly spaced nodes r_i = i*h on [0, r_max], embedded in dimension n_dim."""
@@ -81,6 +60,31 @@ class RadialGrid:
         r = np.linspace(0.0, self.r_max, self.num_nodes)
         r.flags.writeable = False
         return r
+
+
+def quadrature_weights(grid: RadialGrid, radius: float) -> np.ndarray:
+    """Weights q with q @ f = |S^{n-1}| int_0^radius f(r) r^{n-1} dr, trapezoid on the nodes.
+
+    ``radius`` may fall between nodes; the top segment is then integrated
+    against the linearly interpolated integrand.  Every radial integral of a
+    field in the package is a dot product with this vector.
+    """
+    r = grid.nodes
+    if radius < r[0] - 1e-12 or radius > r[-1] * (1 + 1e-12) + 1e-12:
+        raise ValueError(f"integration bound {radius} outside node range [{r[0]}, {r[-1]}]")
+    radius = min(max(radius, r[0]), r[-1])
+    k = int(np.searchsorted(r, radius, side="right"))
+    half = 0.5 * np.diff(r[:k])
+    w = np.zeros(grid.num_nodes)
+    w[:k - 1] += half
+    w[1:k] += half
+    if k < grid.num_nodes and radius > r[k - 1]:
+        # top segment [r[k-1], radius] against the integrand interpolated to radius
+        s = radius - r[k - 1]
+        lam = s / (r[k] - r[k - 1])
+        w[k - 1] += 0.5 * s * (2.0 - lam)
+        w[k] += 0.5 * s * lam
+    return unit_sphere_area(grid.n_dim) * w * r ** (grid.n_dim - 1)
 
 
 class RadialField:

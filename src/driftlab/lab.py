@@ -25,7 +25,7 @@ import numpy as np
 from .grid import RadialField, RadialGrid
 from .oracles import GaussianData, liftoff_limit, mass_growth_check, ou_solution
 from .profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
-from .scenario import Scenario, apply_parameter
+from .scenario import Scenario, ScenarioError, apply_parameter
 from .solver import SolverConfig, Trajectory, solve, step
 from .weights import (
     ClassificationResult,
@@ -34,6 +34,7 @@ from .weights import (
     WeightFunction,
     classify,
     diagnostics,
+    mass_weights,
     phi_tail_bound,
     predict_liftoff_level,
 )
@@ -60,9 +61,9 @@ def write_frames_csv(path, traj: Trajectory) -> None:
     rs = [_fmt(ri) for ri in traj.grid.nodes.tolist()]
     with open(path, "w") as fh:
         fh.write("t,r,u\n")
-        for t, fld in traj:
+        for t, row in zip(traj.times.tolist(), traj.values):
             ts = _fmt(t)
-            fh.writelines(f"{ts},{ri},{ui:.17g}\n" for ri, ui in zip(rs, fld.values.tolist()))
+            fh.writelines(f"{ts},{ri},{ui:.17g}\n" for ri, ui in zip(rs, row.tolist()))
 
 
 def write_diagnostics_csv(path, series: DiagnosticSeries) -> None:
@@ -135,34 +136,32 @@ class RunReport:
 
 def _invariant_flags(traj: Trajectory, u0: RadialField, series: DiagnosticSeries,
                      lifts_off: bool | None) -> dict:
-    """Pass/fail flags for the invariants this run can certify; None = not applicable."""
+    """Pass/fail flags for the invariants this run can certify; None = not applicable.
+
+    Reads the (frames x nodes) block without a temporary of its size.
+    """
     cfg = traj.config
     v0 = u0.values
+    values = traj.values
     sup0 = float(np.max(np.abs(v0))) or 1.0
     flags: dict = {}
 
     if np.all(v0 >= 0) and np.any(v0 > 0):
-        ok = all(np.min(f.values) >= -1e-12 * sup0 for _, f in traj)
-        ok = ok and all(f.values[0] > 0 for t, f in traj if t > 0)
-        flags["positivity"] = bool(ok)
+        flags["positivity"] = bool(values.min() >= -1e-12 * sup0 and np.all(values[1:, 0] > 0))
     else:
         flags["positivity"] = None
 
     certified = cfg.theta == 1.0 and cfg.advection == "upwind"
     if u0.is_radially_nonincreasing():
         tol = (1e-10 if certified else 1e-6) * max(1.0, sup0)
-        flags["radial_monotonicity"] = bool(
-            all(np.all(np.diff(f.values) <= tol) for _, f in traj)
-        )
+        flags["radial_monotonicity"] = all(bool(np.all(np.diff(row) <= tol)) for row in values)
     else:
         flags["radial_monotonicity"] = None
 
     if certified:
         lo, hi = float(np.min(v0)), float(np.max(v0))
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        flags["max_principle"] = bool(
-            all(np.min(f.values) >= lo - tol and np.max(f.values) <= hi + tol for _, f in traj)
-        )
+        flags["max_principle"] = bool(values.min() >= lo - tol and values.max() <= hi + tol)
     else:
         flags["max_principle"] = None
 
@@ -277,13 +276,18 @@ def run(scenario: Scenario, out_dir=None, quiet: bool = True) -> RunReport:
     t_start = time.perf_counter()
     result = classify(scenario.profile, scenario.n_dim)
 
-    traj = simulate(scenario)
-    u0 = traj.frames[0][1]
-    sup0 = float(np.max(u0.values))
-
     lifts = result.verdict.lifts_off
     use_full_weight = lifts or result.verdict is Verdict.UNDETERMINED
     w = WeightFunction(scenario.profile, positive_part=not use_full_weight)
+    if not np.all(np.isfinite(mass_weights(w, scenario.grid, scenario.diag_radius))):
+        raise ScenarioError(
+            f"profile: the weight phi = exp(-int psi) of {scenario.profile!r} overflows "
+            f"within diag_radius {scenario.diag_radius:g}, so I_R is not finite"
+        )
+
+    traj = simulate(scenario)
+    u0 = RadialField(traj.grid, traj.values[0])
+    sup0 = float(np.max(u0.values))
     series = diagnostics(traj, w, scenario.diag_radius)
 
     h_pred = h_tail = h_obs = discrepancy = h_limit = None
@@ -471,11 +475,11 @@ def _check_ge(name, measured, threshold, detail="") -> CheckResult:
                        ">=", detail)
 
 
-def _frame_at(traj: Trajectory, t_target: float) -> RadialField:
-    for t, fld in traj:
-        if abs(t - t_target) <= 1e-9 * max(1.0, abs(t_target)):
-            return fld
-    raise KeyError(f"no snapshot at t = {t_target}")
+def _frame_at(traj: Trajectory, t_target: float) -> np.ndarray:
+    hits = np.flatnonzero(np.abs(traj.times - t_target) <= 1e-9 * max(1.0, abs(t_target)))
+    if not hits.size:
+        raise KeyError(f"no snapshot at t = {t_target}")
+    return traj.values[hits[0]]
 
 
 def _gaussian(name: str, profile, r_max: float, num_nodes: int, solver: SolverConfig,
@@ -513,9 +517,8 @@ def _suite_oracle():
     mask = r <= 0.8 * scen.grid.r_max
     worst = 0.0
     for t_target in (0.5, 1.0, 2.0, 3.0):
-        fld = _frame_at(traj, t_target)
         exact = ou_solution(scen.initial, r[mask], t_target)
-        worst = max(worst, float(np.max(np.abs(fld.values[mask] - exact))))
+        worst = max(worst, float(np.max(np.abs(_frame_at(traj, t_target)[mask] - exact))))
     checks.append(_check_le("oracle_equivalence", worst, 1e-3,
                             "max |numeric - exact| over r <= 16, t in {0.5,1,2,3}, sup u0 = 1"))
 
@@ -650,24 +653,23 @@ def _suite_invariants():
 
         traj = solve(u0, profile, cert, t_end)
         lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
-        for t, fld in traj:
-            v = fld.values
-            worst["max_principle"] = max(worst["max_principle"],
-                                         float(max(lo - np.min(v), np.max(v) - hi)) / max(1.0, hi))
-            worst["monotonicity"] = max(worst["monotonicity"], float(np.max(np.diff(v))))
-            worst["positivity"] = max(worst["positivity"], float(-np.min(v)))
-            if t > 0 and v[0] <= 0:
-                worst["positivity"] = math.inf
+        v = traj.values
+        worst["max_principle"] = max(worst["max_principle"],
+                                     float(max(lo - v.min(), v.max() - hi)) / max(1.0, hi))
+        worst["monotonicity"] = max(worst["monotonicity"], float(np.diff(v, axis=1).max()))
+        worst["positivity"] = max(worst["positivity"], float(-v.min()))
+        if np.any(v[1:, 0] <= 0):
+            worst["positivity"] = math.inf
 
         mix0 = RadialField(grid, 2.0 * u0.values + 3.0 * v0.values)
         for cfg, ta in ((cert, traj), (acc, solve(u0, profile, acc, t_end))):
             tm = solve(mix0, profile, cfg, t_end)
             tb = solve(v0, profile, cfg, t_end)
-            for (_, fm), (_, fa), (_, fb) in zip(tm, ta, tb):
-                lin = 2.0 * fa.values + 3.0 * fb.values
+            for fm, fa, fb in zip(tm.values, ta.values, tb.values):
+                lin = 2.0 * fa + 3.0 * fb
                 scale = float(np.max(np.abs(lin))) or 1.0
                 worst["linearity"] = max(worst["linearity"],
-                                         float(np.max(np.abs(fm.values - lin))) / scale)
+                                         float(np.max(np.abs(fm - lin))) / scale)
 
     checks = [
         _check_le("constant_preservation", worst["constant"], 1e-12, "relative, both schemes"),

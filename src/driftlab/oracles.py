@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid
-from .profiles import Linear, Zero
+from .grid import RadialField, RadialGrid, quadrature_weights
+from .profiles import Linear
 from .solver import Trajectory
-from .weights import WeightFunction, weighted_mass
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,5 @@ def mass_growth_check(traj: Trajectory) -> list[tuple[float, float, float]]:
     if not isinstance(traj.profile, Linear):
         raise ValueError("mass growth check applies to the linear drift profile only")
     grid = traj.grid
-    unit = WeightFunction(Zero())
-    rows = []
-    mass0 = None
-    for t, field in traj:
-        mass = weighted_mass(field, unit, grid.r_max)
-        if mass0 is None:
-            mass0 = mass
-        rows.append((t, mass, math.exp(grid.n_dim * t) * mass0))
-    return rows
+    mass = (traj.values @ quadrature_weights(grid, grid.r_max)).tolist()
+    return [(t, m, math.exp(grid.n_dim * t) * mass[0]) for t, m in zip(traj.times.tolist(), mass)]

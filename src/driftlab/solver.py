@@ -71,43 +71,38 @@ class SolverConfig:
 
 
 class Trajectory:
-    """Time-ordered snapshots of one simulation."""
+    """Snapshots of one simulation: times (frames,) and values (frames x nodes), read-only."""
 
-    __slots__ = ("frames", "profile", "config")
+    __slots__ = ("grid", "times", "values", "profile", "config")
 
-    def __init__(self, frames, profile: DriftProfile, config: SolverConfig):
-        frames = list(frames)
-        if not frames:
+    def __init__(self, grid: RadialGrid, times, values, profile: DriftProfile,
+                 config: SolverConfig):
+        # read-only views: no copy of the block
+        times = np.asarray(times, dtype=float).view()
+        values = np.asarray(values, dtype=float).view()
+        if times.ndim != 1 or times.size == 0:
             raise ValueError("trajectory needs at least one frame")
-        times = [t for t, _ in frames]
         if times[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "config", config)
+        if values.shape != (times.size, grid.num_nodes):
+            raise ValueError(f"expected values of shape {(times.size, grid.num_nodes)}, "
+                             f"got {values.shape}")
+        times.flags.writeable = False
+        values.flags.writeable = False
+        for name, value in zip(self.__slots__, (grid, times, values, profile, config)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
 
     def __len__(self):
-        return len(self.frames)
-
-    def __iter__(self):
-        return iter(self.frames)
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.frames[0][1].grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.frames])
+        return len(self.times)
 
     @property
     def final(self) -> RadialField:
-        return self.frames[-1][1]
+        return RadialField(self.grid, self.values[-1])
 
 
 def operator_diagonals(grid: RadialGrid, profile: DriftProfile, advection: str = "centered",
@@ -152,12 +147,6 @@ def apply_tridiagonal(lower, diag, upper, v):
     out[1:] += lower[1:] * v[:-1]
     out[:-1] += upper[:-1] * v[1:]
     return out
-
-
-def radial_rhs(u: RadialField, profile: DriftProfile, outer_bc: str = "dirichlet_frozen") -> RadialField:
-    """du/dt evaluated with centered second-order differences."""
-    lo, d, up = operator_diagonals(u.grid, profile, "centered", outer_bc)
-    return RadialField(u.grid, apply_tridiagonal(lo, d, up, u.values))
 
 
 class _ThetaStepper:
@@ -205,11 +194,13 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
 
     The final snapshot lands exactly at t_end; the last step is shortened when
     t_end is not a multiple of dt.  t_end = 0 yields the single frame (0, u0).
+    The (frames x nodes) block is allocated once from the step count.
     """
+    grid = u0.grid
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if t_end == 0:
-        return Trajectory([(0.0, u0)], profile, config)
+        return Trajectory(grid, [0.0], u0.values[None, :], profile, config)
 
     dt = config.dt
     ratio = t_end / dt
@@ -220,9 +211,13 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     if remainder <= dt * 1e-9:
         remainder = 0.0
 
-    frames = [(0.0, u0)]
-    stepper = _ThetaStepper(u0.grid, profile, config, dt)
     stride = config.snapshot_stride
+    # last step whose state can be a stride snapshot; the state after it is the t_end frame
+    last = n_full if remainder > 0.0 else n_full - 1
+    times = np.empty(2 + max(last, 0) // stride)
+    values = np.empty((times.size, grid.num_nodes))
+    times[0], values[0] = 0.0, u0.values
+    stepper = _ThetaStepper(grid, profile, config, dt)
     good_k, good_v = 0, u0.values
     v = u0.values
     for k in range(1, n_full + 1):
@@ -232,14 +227,14 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
                 k = _first_bad_step(stepper, good_v, good_k, k)
                 raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
             good_k, good_v = k, v
-            if k % stride == 0 and not (k == n_full and remainder == 0.0):
-                frames.append((k * dt, RadialField(u0.grid, v)))
+            if k % stride == 0 and k <= last:
+                times[k // stride], values[k // stride] = k * dt, v
     if remainder > 0.0:
-        v = _ThetaStepper(u0.grid, profile, config, remainder).advance(v)
+        v = _ThetaStepper(grid, profile, config, remainder).advance(v)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(f"non-finite values in final shortened step (t = {t_end:g})")
-    frames.append((t_end, RadialField(u0.grid, v)))
-    return Trajectory(frames, profile, config)
+    times[-1], values[-1] = t_end, v
+    return Trajectory(grid, times, values, profile, config)
 
 
 def _first_bad_step(stepper: _ThetaStepper, v: np.ndarray, k: int, k_bad: int) -> int:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from .grid import RadialField, radial_trapezoid, unit_sphere_area
+from .grid import RadialField, RadialGrid, quadrature_weights, unit_sphere_area
 from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from .solver import Trajectory
 
@@ -88,18 +88,24 @@ class WeightFunction:
         return out if np.ndim(r) else float(out)
 
 
+def mass_weights(w: WeightFunction, grid: RadialGrid, radius: float) -> np.ndarray:
+    """phi * q for the quadrature weights q of grid.quadrature_weights.
+
+    The weighted mass of a field is its dot product with this vector.  Nodes
+    past the radius get weight 0, also where phi overflows to inf there; inside
+    the radius an overflowing weight saturates to inf, as phi does.
+    """
+    q = quadrature_weights(grid, radius)
+    with np.errstate(over="ignore"):
+        return np.multiply(w.phi(grid.nodes), q, out=np.zeros_like(q), where=q > 0)
+
+
 def weighted_mass(u: RadialField, w: WeightFunction, radius: float) -> float:
     """int_{|x|<=radius} phi(|x|) u(x) dx by trapezoid on the solver grid.
 
-    This is the package's one radial quadrature of a field: the plain mass is
-    the weighted mass under the unit weight WeightFunction(Zero()).
+    The plain mass is the weighted mass under the unit weight WeightFunction(Zero()).
     """
-    grid = u.grid
-    if radius > grid.r_max * (1 + 1e-12):
-        raise ValueError(f"radius {radius} exceeds grid r_max {grid.r_max}")
-    r = grid.nodes
-    integrand = np.asarray(w.phi(r)) * u.values
-    return unit_sphere_area(grid.n_dim) * radial_trapezoid(r, integrand, grid.n_dim, upper=radius)
+    return float(u.values @ mass_weights(w, u.grid, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +442,16 @@ class DiagnosticSeries:
 
 
 def diagnostics(traj: Trajectory, w: WeightFunction, radius: float) -> DiagnosticSeries:
-    """Weighted mass I_R, sup u, center value, and plain mass at every snapshot."""
-    unit = WeightFunction(Zero())
-    times, iw, sup, center, mass = [], [], [], [], []
-    for t, field in traj:
-        v = field.values
-        times.append(t)
-        iw.append(weighted_mass(field, w, radius))
-        sup.append(float(np.max(v)))
-        center.append(float(v[0]))
-        mass.append(weighted_mass(field, unit, radius))
+    """Weighted mass I_R, sup u, center value, and plain mass at every snapshot.
+
+    Both masses are one matrix-vector product of the (frames x nodes) block.
+    """
+    values = traj.values
     return DiagnosticSeries(
-        np.array(times), np.array(iw), np.array(sup), np.array(center), np.array(mass), radius
+        traj.times,
+        values @ mass_weights(w, traj.grid, radius),
+        values.max(axis=1),
+        values[:, 0].copy(),
+        values @ quadrature_weights(traj.grid, radius),
+        radius,
     )

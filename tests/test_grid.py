@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from driftlab.grid import RadialField, RadialGrid, radial_trapezoid, unit_sphere_area
+from driftlab.grid import RadialField, RadialGrid, quadrature_weights, unit_sphere_area
 
 
 def test_unit_sphere_area_low_dimensions():
@@ -52,14 +52,14 @@ def test_field_validation():
 def test_radial_trapezoid_full_range():
     # f = 1 against r dr on [0, 2]: exactly 2 (trapezoid exact for linear integrand)
     g = RadialGrid(2.0, 21, 2)
-    val = radial_trapezoid(g.nodes, np.ones(21), 2)
+    val = quadrature_weights(g, g.r_max) @ np.ones(21) / unit_sphere_area(2)
     assert val == pytest.approx(2.0, rel=1e-14)
 
 
 def test_radial_trapezoid_partial_segment():
     # upper bound between nodes; exact for the linear integrand r
     g = RadialGrid(1.0, 3, 2)  # nodes 0, 0.5, 1
-    val = radial_trapezoid(g.nodes, np.ones(3), 2, upper=0.75)
+    val = quadrature_weights(g, 0.75) @ np.ones(3) / unit_sphere_area(2)
     assert val == pytest.approx(0.75**2 / 2, rel=1e-14)
 
 
@@ -67,10 +67,33 @@ def test_radial_trapezoid_against_quadrature():
     g = RadialGrid(3.0, 3001, 3)
     f = np.exp(-g.nodes)
     expected, _ = quad(lambda r: math.exp(-r) * r**2, 0.0, 2.2)
-    assert radial_trapezoid(g.nodes, f, 3, upper=2.2) == pytest.approx(expected, rel=1e-6)
+    val = quadrature_weights(g, 2.2) @ f / unit_sphere_area(3)
+    assert val == pytest.approx(expected, rel=1e-6)
 
 
 def test_radial_trapezoid_bound_outside_range():
     g = RadialGrid(1.0, 11, 2)
     with pytest.raises(ValueError):
-        radial_trapezoid(g.nodes, np.ones(11), 2, upper=1.5)
+        quadrature_weights(g, 1.5)
+
+
+def _trapezoid_reference(r, f, n_dim, upper):
+    """int_0^upper f r^{n-1} dr by np.trapezoid, the top segment against the interpolant."""
+    g = f * r ** (n_dim - 1)
+    k = int(np.searchsorted(r, upper, side="right"))
+    total = float(np.trapezoid(g[:k], r[:k])) if k >= 2 else 0.0
+    if k < len(r) and upper > r[k - 1]:
+        g_up = g[k - 1] + (g[k] - g[k - 1]) * (upper - r[k - 1]) / (r[k] - r[k - 1])
+        total += 0.5 * (g[k - 1] + g_up) * (upper - r[k - 1])
+    return total
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_quadrature_weights_match_the_trapezoid_rule(n_dim):
+    g = RadialGrid(7.0, 141, n_dim)
+    f = np.exp(-g.nodes) * (1.0 + np.sin(3.0 * g.nodes))
+    for radius in (0.0, 0.03, 0.05, 1.0, 3.3333, 6.98, 7.0):
+        q = quadrature_weights(g, radius)
+        expected = unit_sphere_area(n_dim) * _trapezoid_reference(g.nodes, f, n_dim, radius)
+        assert q @ f == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        assert np.all(q[g.nodes > radius + g.spacing] == 0.0)

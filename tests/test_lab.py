@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftlab import cli, lab
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
-from driftlab.scenario import parse_scenario
+from driftlab.scenario import ScenarioError, parse_scenario
 from driftlab.weights import Verdict, classify
 
 FAST_SUPERCRITICAL = """
@@ -212,6 +216,54 @@ t_end = 0.5
     assert report.h_pred is None
     assert report.verdict_behavior_match is None
     assert report.weight_kind == "full"
+
+
+OVERFLOWING_WEIGHT = """
+[profile]
+kind = tabulated
+samples = 0:0, 1:-10, 100:-10
+
+[domain]
+n = 2
+r_max = 100
+num_nodes = 401
+
+[initial]
+kind = gaussian
+sigma = 1
+"""
+
+
+def test_run_rejects_an_overflowing_weight_before_simulating(monkeypatch):
+    # psi = -10 beyond r = 1: phi = exp(-Psi) overflows past r ~ 72, inside the
+    # default radius 0.8 * r_max = 80, so I_R cannot be finite
+    def no_simulate(scenario):
+        raise AssertionError("simulated a scenario whose weighted mass overflows")
+
+    monkeypatch.setattr(lab, "simulate", no_simulate)
+    scenario = parse_scenario(OVERFLOWING_WEIGHT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=r"profile: .*Tabulated.* overflows"):
+            lab.run(scenario)
+
+
+def test_cli_simulate_rejects_an_overflowing_weight(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lab, "simulate", None)  # any simulation attempt raises TypeError
+    rc = cli.main(["simulate", _write_config(tmp_path, OVERFLOWING_WEIGHT)])
+    assert rc == 2
+    assert "error: profile:" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    # perfbench's tracer wraps these names by attribute; a missing one breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up there
+    spec.loader.exec_module(tracing)
+    assert [n for n in tracing.LAB_NAMES if not hasattr(lab, n)] == []
+    assert [n for n in tracing.CLI_NAMES if not hasattr(cli, n)] == []
 
 
 def test_sweep_alpha_threshold_in_critical_family():

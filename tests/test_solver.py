@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from driftlab import solver
-from driftlab.grid import RadialField, RadialGrid
+from driftlab.grid import RadialField, RadialGrid, quadrature_weights
 from driftlab.oracles import GaussianData, heat_solution
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.solver import (
@@ -15,7 +15,6 @@ from driftlab.solver import (
     Trajectory,
     apply_tridiagonal,
     operator_diagonals,
-    radial_rhs,
     solve,
     step,
 )
@@ -27,36 +26,42 @@ def _grid(n_dim=2, r_max=10.0, nodes=201):
     return RadialGrid(r_max, nodes, n_dim)
 
 
-# --- radial_rhs -----------------------------------------------------------
+# --- the spatial operator L u = du/dt, centered differences -----------------
 
 
 def test_rhs_constant_field_is_zero():
     g = _grid()
     c = RadialField(g, np.full(g.num_nodes, 4.2))
     for p in PROFILES:
-        out = radial_rhs(c, p)
-        assert np.max(np.abs(out.values)) <= 1e-12
+        out = apply_tridiagonal(*operator_diagonals(g, p, "centered", "dirichlet_frozen"),
+                                c.values)
+        assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_rhs_quadratic_in_three_dimensions():
     # Lap(r^2) = 2n = 6; centered differences are exact on quadratics
     g = _grid(n_dim=3)
     u = RadialField.from_function(g, lambda r: r**2)
-    out = radial_rhs(u, Zero())
-    np.testing.assert_allclose(out.values[1:-1], 6.0, rtol=1e-10)
+    out = apply_tridiagonal(*operator_diagonals(g, Zero(), "centered", "dirichlet_frozen"),
+                            u.values)
+    np.testing.assert_allclose(out[1:-1], 6.0, rtol=1e-10)
 
 
 def test_rhs_origin_symmetry_limit():
     # at r = 0 the operator is n * u_rr(0); for u = r^2, n = 2 this is 4
     g = _grid(n_dim=2)
     u = RadialField.from_function(g, lambda r: r**2)
-    assert radial_rhs(u, Zero()).values[0] == pytest.approx(4.0, rel=1e-10)
+    out = apply_tridiagonal(*operator_diagonals(g, Zero(), "centered", "dirichlet_frozen"),
+                            u.values)
+    assert out[0] == pytest.approx(4.0, rel=1e-10)
 
 
 def test_rhs_frozen_outer_row_is_zero():
     g = _grid()
     u = RadialField.from_function(g, lambda r: np.exp(-r))
-    assert radial_rhs(u, Linear(), outer_bc="dirichlet_frozen").values[-1] == 0.0
+    out = apply_tridiagonal(*operator_diagonals(g, Linear(), "centered", "dirichlet_frozen"),
+                            u.values)
+    assert out[-1] == 0.0
 
 
 # --- stepping -------------------------------------------------------------
@@ -121,8 +126,8 @@ def test_monotonicity_preserved_upwind():
     cfg = SolverConfig(dt=5e-3, theta=1.0, advection="upwind", snapshot_stride=50)
     for p in PROFILES:
         traj = solve(u0, p, cfg, 1.0)
-        for _, f in traj:
-            assert np.all(np.diff(f.values) <= 1e-12)
+        for row in traj.values:
+            assert np.all(np.diff(row) <= 1e-12)
 
 
 def test_positivity_and_center_positive():
@@ -130,10 +135,10 @@ def test_positivity_and_center_positive():
     bump = RadialField.from_function(g, lambda r: np.where(r < 2.0, (2.0 - r) ** 2, 0.0))
     cfg = SolverConfig(dt=5e-3, theta=1.0, advection="upwind", snapshot_stride=10)
     traj = solve(bump, PowerLaw(3.0, -1.0, 1.0), cfg, 0.5)
-    for t, f in traj:
-        assert np.min(f.values) >= -1e-14
+    for t, row in zip(traj.times, traj.values):
+        assert np.min(row) >= -1e-14
         if t > 0:
-            assert f.values[0] > 0
+            assert row[0] > 0
 
 
 def test_sup_decreasing_for_pure_diffusion():
@@ -141,7 +146,7 @@ def test_sup_decreasing_for_pure_diffusion():
     u0 = RadialField.from_function(g, lambda r: np.maximum(1.0 - r, 0.0))
     cfg = SolverConfig(dt=2e-3, theta=1.0, advection="upwind", snapshot_stride=25)
     traj = solve(u0, Zero(), cfg, 0.5)
-    sups = [np.max(f.values) for _, f in traj]
+    sups = traj.values.max(axis=1)
     assert np.all(np.diff(sups) <= 1e-13)
 
 
@@ -153,9 +158,9 @@ def test_linearity_of_solve():
     cfg = SolverConfig(dt=5e-3, theta=0.5, snapshot_stride=20)
     p = PowerLaw(3.0, -1.0, 1.0)
     tm, ta, tb = (solve(f, p, cfg, 0.4) for f in (mix, u0, v0))
-    for (_, fm), (_, fa), (_, fb) in zip(tm, ta, tb):
-        lin = 2.0 * fa.values - 0.5 * fb.values
-        assert np.max(np.abs(fm.values - lin)) <= 1e-12 * max(1.0, np.max(np.abs(lin)))
+    for fm, fa, fb in zip(tm.values, ta.values, tb.values):
+        lin = 2.0 * fa - 0.5 * fb
+        assert np.max(np.abs(fm - lin)) <= 1e-12 * max(1.0, np.max(np.abs(lin)))
 
 
 # --- trajectory bookkeeping ------------------------------------------------
@@ -166,9 +171,8 @@ def test_zero_horizon_returns_initial_frame():
     u0 = GaussianData(1.0, 2).field(g)
     traj = solve(u0, Zero(), SolverConfig(dt=0.1), 0.0)
     assert len(traj) == 1
-    t, f = traj.frames[0]
-    assert t == 0.0
-    np.testing.assert_array_equal(f.values, u0.values)
+    assert traj.times[0] == 0.0
+    np.testing.assert_array_equal(traj.values[0], u0.values)
 
 
 def test_final_snapshot_exactly_at_t_end():
@@ -203,7 +207,10 @@ def test_divergence_reported_with_step_index():
 
 
 def _reference_solve(u0, profile, cfg, n_full, t_end):
-    """The theta-scheme as a plain loop: banded I - theta*dt*L solved afresh every step."""
+    """The theta-scheme as a plain loop: banded I - theta*dt*L solved afresh every step.
+
+    Returns the snapshot times and the (frames x nodes) values.
+    """
     lo, d, up = operator_diagonals(u0.grid, profile, cfg.advection, cfg.outer_bc)
 
     def advance(v, dt):
@@ -215,13 +222,27 @@ def _reference_solve(u0, profile, cfg, n_full, t_end):
         rhs = v + apply_tridiagonal(w * lo, w * d, w * up, v) if cfg.theta < 1.0 else v
         return solve_banded((1, 1), ab, rhs)
 
-    v, frames = u0.values, [u0.values]
+    v, times, frames = u0.values, [0.0], [u0.values]
     for k in range(1, n_full + 1):
         v = advance(v, cfg.dt)
         if k % cfg.snapshot_stride == 0:
+            times.append(k * cfg.dt)
             frames.append(v)
-    frames.append(advance(v, t_end - n_full * cfg.dt))
-    return np.array(frames)
+    if t_end - n_full * cfg.dt > 1e-12:  # a shortened final step
+        v = advance(v, t_end - n_full * cfg.dt)
+    elif n_full % cfg.snapshot_stride == 0:  # the last stride snapshot is the t_end frame
+        times.pop()
+        frames.pop()
+    times.append(t_end)
+    frames.append(v)
+    return np.array(times), np.array(frames)
+
+
+# (snapshot_stride, t_end, full steps of dt = 1e-2): stride 1; a stride dividing the
+# 30 full steps and one leaving a remainder, each with and without a shortened final
+# step; a stride beyond the step count
+FRAME_LAYOUTS = [(1, 0.305, 30), (5, 0.305, 30), (5, 0.3, 30), (7, 0.305, 30), (7, 0.3, 30),
+                 (50, 0.305, 30)]
 
 
 @pytest.mark.parametrize("theta,advection", [(0.5, "centered"), (1.0, "upwind")])
@@ -229,11 +250,13 @@ def _reference_solve(u0, profile, cfg, n_full, t_end):
 def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
     g = _grid(nodes=101)
     u0 = GaussianData(1.0, 2).field(g)
-    cfg = SolverConfig(dt=1e-2, theta=theta, advection=advection, outer_bc=outer_bc,
-                       snapshot_stride=7)
-    traj = solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, 0.305)  # 30 steps + a shortened one
-    expected = _reference_solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, 30, 0.305)
-    assert np.array_equal(np.array([f.values for _, f in traj]), expected)
+    for stride, t_end, n_full in FRAME_LAYOUTS:
+        cfg = SolverConfig(dt=1e-2, theta=theta, advection=advection, outer_bc=outer_bc,
+                           snapshot_stride=stride)
+        traj = solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, t_end)
+        times, values = _reference_solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, n_full, t_end)
+        assert np.array_equal(traj.times, times), (stride, t_end)
+        assert np.array_equal(traj.values, values), (stride, t_end)
 
 
 def test_solve_factors_once_per_step_size(monkeypatch):
@@ -291,17 +314,13 @@ def test_consistency_order_against_heat_oracle():
 def test_neumann_boundary_conserves_mass_at_second_order():
     # reflecting outer wall: the plain mass is conserved by the continuum
     # equation; the discrete drift must shrink like h^2
-    from driftlab.grid import radial_trapezoid, unit_sphere_area
-
     g = GaussianData(1.0, 2)
     drifts = []
     for nodes, dt in [(201, 4e-3), (401, 2e-3)]:
         grid = RadialGrid(10.0, nodes, 2)
         cfg = SolverConfig(dt=dt, theta=0.5, outer_bc="neumann", snapshot_stride=100)
         traj = solve(g.field(grid), Zero(), cfg, 4.0)
-        masses = np.array(
-            [unit_sphere_area(2) * radial_trapezoid(grid.nodes, f.values, 2) for _, f in traj]
-        )
+        masses = traj.values @ quadrature_weights(grid, grid.r_max)
         drifts.append(float(np.max(np.abs(masses - masses[0])) / masses[0]))
     assert drifts[0] < 5e-4
     assert drifts[0] / drifts[1] > 3.0
@@ -312,11 +331,27 @@ def test_trajectory_validation():
     f = GaussianData(1.0, 2).field(g)
     cfg = SolverConfig(dt=0.1)
     with pytest.raises(ValueError):
-        Trajectory([(0.1, f)], Zero(), cfg)  # must start at 0
+        Trajectory(g, [0.1], f.values[None, :], Zero(), cfg)  # must start at 0
     with pytest.raises(ValueError):
-        Trajectory([(0.0, f), (0.0, f)], Zero(), cfg)  # strictly increasing
+        Trajectory(g, [0.0, 0.0], np.stack([f.values] * 2), Zero(), cfg)  # strictly increasing
     with pytest.raises(ValueError):
-        Trajectory([], Zero(), cfg)
+        Trajectory(g, [], np.empty((0, g.num_nodes)), Zero(), cfg)
+    with pytest.raises(ValueError):
+        Trajectory(g, [0.0, 0.1], f.values[None, :], Zero(), cfg)  # one row per time
+    with pytest.raises(ValueError):
+        Trajectory(g, [0.0], f.values[None, :-1], Zero(), cfg)  # one column per node
+
+
+def test_trajectory_is_read_only():
+    g = _grid(nodes=51)
+    traj = solve(GaussianData(1.0, 2).field(g), Zero(), SolverConfig(dt=0.1), 0.3)
+    assert traj.values.shape == (len(traj), g.num_nodes)
+    with pytest.raises(ValueError):
+        traj.values[1, 0] = 2.0
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+    with pytest.raises(AttributeError):
+        traj.values = np.zeros_like(traj.values)
 
 
 def test_solver_config_validation():

@@ -16,6 +16,7 @@ from driftlab.weights import (
     WeightFunction,
     classify,
     diagnostics,
+    mass_weights,
     phi_radial_integral,
     phi_tail_bound,
     predict_liftoff_level,
@@ -109,6 +110,20 @@ def test_weighted_mass_gaussian_against_quadrature():
     expected, _ = quad(lambda r: math.exp(-0.75 * r * r) * 2 * math.pi * r, 0.0, 20.0)
     assert expected == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert weighted_mass(u, w, 20.0) == pytest.approx(expected, rel=5e-5)
+
+
+def test_weight_overflowing_past_the_radius_is_not_integrated():
+    # psi = -10 beyond r = 1: phi = exp(-Psi) overflows to inf from r ~ 72 on,
+    # past the radius 50 and inside the radius 80
+    g = RadialGrid(100.0, 401, 2)
+    w = WeightFunction(Tabulated([0.0, 1.0, 100.0], [0.0, -10.0, -10.0]))
+    assert np.isinf(w.phi(g.nodes[-1]))
+    ones = RadialField(g, np.ones(g.num_nodes))
+    with np.errstate(all="raise"):
+        wq = mass_weights(w, g, 50.0)
+        assert math.isfinite(weighted_mass(ones, w, 50.0))
+    assert np.all(wq[g.nodes > 50.0] == 0.0)
+    assert not np.all(np.isfinite(mass_weights(w, g, 80.0)))
 
 
 def test_weighted_mass_radius_beyond_grid():
@@ -303,6 +318,23 @@ def test_weighted_mass_drift_is_discretization_error():
         drifts.append(float(np.max(np.abs(iw - iw[0])) / iw[0]))
     assert drifts[0] < 1e-3
     assert drifts[0] / drifts[1] > 3.0
+
+
+def test_diagnostics_rows_are_the_weighted_mass_of_each_frame():
+    p = PowerLaw(3.0, -1.0, 1.0)
+    g = RadialGrid(20.0, 401, 2)
+    cfg = SolverConfig(dt=1e-2, theta=0.5, snapshot_stride=20)
+    traj = solve(GaussianData(1.0, 2).field(g), p, cfg, 1.0)
+    w = WeightFunction(p)
+    series = diagnostics(traj, w, 15.52)  # the radius falls between nodes
+    assert len(series) == len(traj) == 6
+    for k, row in enumerate(traj.values):
+        field = RadialField(g, row)
+        assert series.weighted_mass[k] == pytest.approx(weighted_mass(field, w, 15.52), rel=1e-14)
+        assert series.mass[k] == pytest.approx(
+            weighted_mass(field, WeightFunction(Zero()), 15.52), rel=1e-14)
+        assert series.sup[k] == np.max(row) and series.center[k] == row[0]
+    assert np.array_equal(series.times, traj.times)
 
 
 def test_diagnostics_radius_validation():
