@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -71,6 +72,32 @@ def _parse_values(parameter: str, raw: str):
     return vals
 
 
+def _thread_count(raw: str) -> int:
+    try:
+        k = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"needs at least one worker thread, got {k}")
+    return k
+
+
+def _attach_values(argv):
+    """Write "--values -0.5,-0.8" as "--values=-0.5,-0.8".
+
+    argparse reads a separate argument that starts with a minus sign and is
+    not one plain number as an option, so a list of negative values would
+    lose its flag.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--values" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--values={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config)
     values = _parse_values(args.param, args.values)
@@ -121,16 +148,16 @@ def main(argv=None) -> int:
                            help="repeat a scenario over a list of parameter values")
     p_swp.add_argument("config", help="scenario config file")
     p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
-    p_swp.add_argument("--threads", type=int, default=1, metavar="K",
+    p_swp.add_argument("--threads", type=_thread_count, default=1, metavar="K",
                        help="worker threads (default 1)")
     p_swp.add_argument("--values", required=True, metavar="CSV",
-                       help="comma-separated parameter values")
+                       help="comma-separated parameter values, e.g. 1,2,3 or -0.5,-0.8")
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a named verification suite at reference resolution")
     p_ver.add_argument("suite", help=f"one of: {', '.join(lab.suite_names())}")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "simulate": _cmd_simulate,
         "classify": _cmd_classify,

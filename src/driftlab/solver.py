@@ -21,13 +21,44 @@ exactly (up to roundoff).
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import RadialField, RadialGrid
 from .profiles import DriftProfile
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without running scipy/linalg/__init__.py.
+
+    scipy.linalg.lapack re-exports the routines of this same extension; the
+    scipy.linalg package itself would also load its array-API layer, which
+    dominates start-up time and memory.  find_spec imports only the root
+    scipy package.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = None
+    if package is not None:
+        finder = FileFinder(package.submodule_search_locations[0],
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {name} is not installed", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 ADVECTION_MODES = ("centered", "upwind")
 OUTER_BCS = ("dirichlet_frozen", "neumann")

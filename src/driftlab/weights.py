@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .grid import RadialField, RadialGrid, quadrature_weights, unit_sphere_area
 from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero
@@ -152,6 +151,53 @@ def _family(w: WeightFunction):
     return None
 
 
+def upper_gamma(s: float, x: float) -> float:
+    """Upper incomplete gamma function Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, s > 0, x >= 0.
+
+    Below x = max(s, 1) it is Gamma(s) minus the series of the lower function,
+        gamma(s, x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k));
+    from there on the continued fraction
+        Gamma(s, x) = x^s e^{-x} / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...)))
+    is evaluated by the modified Lentz method.  The split keeps the
+    subtraction away from x > s, where Gamma(s, x) << Gamma(s).  Returns inf
+    where Gamma(s) or x^s e^{-x} exceeds the double range.
+    """
+    eps, tiny = 2.0**-53, 1e-300
+    try:
+        if x == 0.0:
+            return math.gamma(s)
+        # x^s e^{-x} as two rounded factors; the logarithmic form, kept for where a
+        # factor leaves the double range, loses about |s log x - x| ulps
+        s_log_x = s * math.log(x)
+        if max(abs(s_log_x), x) < 700.0:
+            scale = x**s * math.exp(-x)
+        else:
+            scale = math.exp(s_log_x - x)
+        if x < 1.0 or x < s:
+            a, term, total = s, 1.0 / s, 1.0 / s
+            while term > eps * total:
+                a += 1.0
+                term *= x / a
+                total += term
+            return math.gamma(s) - scale * total
+        b = x + 1.0 - s
+        c, d = 1.0 / tiny, 1.0 / b
+        h, k, delta = d, 0, 0.0
+        while abs(delta - 1.0) > eps:
+            k += 1
+            an = -k * (k - s)
+            b += 2.0
+            d = an * d + b
+            c = b + an / c
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = c if abs(c) > tiny else tiny
+            delta = c * d
+            h *= delta
+        return scale * h
+    except OverflowError:
+        return math.inf
+
+
 def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
     """int_a^b phi r^{n-1} dr for the far-field family; b may be math.inf.
 
@@ -179,8 +225,8 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
     if kind == "gamma":
         c, g = fam[3], fam[4]
         s = n / g
-        hi = 0.0 if math.isinf(b) else gamma_fn(s) * gammaincc(s, c * b**g)
-        lo = gamma_fn(s) * gammaincc(s, c * a**g)
+        hi = 0.0 if math.isinf(b) else upper_gamma(s, c * b**g)
+        lo = upper_gamma(s, c * a**g)
         return K / g * c**(-s) * (lo - hi)
     if kind == "log":
         m, alpha = fam[3], fam[4]

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftlab
 from driftlab import cli, lab
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
 from driftlab.scenario import ScenarioError, parse_scenario
@@ -436,6 +439,48 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", cfg])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_sweep_accepts_negative_values(tmp_path, capsys):
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    for argv in (["--values", "-0.5,-0.8"], ["--values=-0.5,-0.8"]):
+        rc = cli.main(["sweep", cfg, "--param", "beta", *argv])
+        assert rc == 0, argv
+        rows = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert rows == ["-0.5", "-0.8"], argv
+
+
+def test_cli_sweep_rejects_zero_threads_while_parsing(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(lab, "sweep", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "unused.ini", "--param", "A", "--values", "1", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy_linalg_or_special(tmp_path):
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    oracle = Path(__file__).resolve().parents[1] / "configs" / "linear_oracle.ini"
+    script = (
+        "import sys\n"
+        "from driftlab import cli\n"
+        f"assert cli.main(['classify', {str(oracle)!r}, '--quiet']) == 0\n"
+        f"assert cli.main(['simulate', {cfg!r}, '--quiet']) == 0\n"
+        "print(sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules)))\n"
+        # scipy.linalg imported afterwards shares the already loaded LAPACK extension
+        "from scipy.linalg.lapack import dgttrs\n"
+        "from driftlab import solver\n"
+        "assert solver.dgttrs is dgttrs\n"
+    )
+    src = str(Path(driftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_unknown_suite_exit_code(capsys):

@@ -259,6 +259,26 @@ def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
         assert np.array_equal(traj.values, values), (stride, t_end)
 
 
+def test_loaded_lapack_matches_scipy_linalg_bitwise():
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(7)
+    N = 64
+    dl, du = rng.uniform(-1.0, 1.0, N - 1), rng.uniform(-1.0, 1.0, N - 1)
+    d = rng.uniform(-0.1, 0.1, N)  # off-diagonals dominate: partial pivoting swaps rows
+    b = rng.normal(size=N)
+    ours = solver.dgttrf(dl, d, du)
+    ref = lapack.dgttrf(dl, d, du)
+    assert ours[-1] == ref[-1] == 0
+    assert np.any(ours[4] != np.arange(1, N + 1)), "no row was pivoted"
+    for a, r in zip(ours, ref):
+        assert np.array_equal(a, r)
+    x = solver.dgttrs(*ours[:-1], b)
+    x_ref = lapack.dgttrs(*ref[:-1], b)
+    assert x[1] == x_ref[1] == 0
+    assert np.array_equal(x[0], x_ref[0])
+
+
 def test_solve_factors_once_per_step_size(monkeypatch):
     calls, dgttrf = [], solver.dgttrf
 

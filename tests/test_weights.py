@@ -20,6 +20,7 @@ from driftlab.weights import (
     phi_radial_integral,
     phi_tail_bound,
     predict_liftoff_level,
+    upper_gamma,
     weighted_mass,
 )
 
@@ -222,6 +223,28 @@ def test_phi_mass_values():
     far, _ = quad(lambda r: w.phi(r) * 2 * math.pi * r, 0.0, 60.0, points=[1.0], limit=300)
     tail = 2 * math.pi * w.phi(60.0) * 60.0**2 / (3.0 - 2.0)  # = omega K R^{n-A}/(A-n)
     assert classify(p, 2).phi_mass == pytest.approx(far + tail, rel=1e-6)
+
+
+def test_upper_gamma_matches_scipy():
+    from scipy.special import gamma, gammaincc
+
+    s = np.concatenate([np.linspace(0.05, 20.0, 80), [0.5, 1.0, 1.5, 2.5, 3.0]])
+    x = np.concatenate([np.linspace(0.0, 60.0, 241), [0.7, 1.05, 100.0, 200.0, 500.0, 700.0]])
+    S, X = np.meshgrid(s, x)
+    ref = gamma(S) * gammaincc(S, X)
+    got = np.vectorize(upper_gamma)(S, X)
+    meaningful = ref >= 1e-290
+    assert meaningful.sum() > 0.9 * ref.size
+    rel = np.abs(got[meaningful] - ref[meaningful]) / ref[meaningful]
+    assert rel.max() <= 1e-13
+
+
+def test_upper_gamma_at_zero_is_the_complete_gamma():
+    for s in (0.05, 0.5, 1.0, 2.5, 7.0, 20.0):
+        assert upper_gamma(s, 0.0) == math.gamma(s)
+    assert upper_gamma(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-15)
+    # Gamma(200) is beyond the double range
+    assert upper_gamma(200.0, 100.0) == math.inf
 
 
 def test_phi_tail_bound_matches_direct_integral():
