@@ -25,9 +25,13 @@ def _load_scenario(path: str):
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config)
     out = Path(args.out) / scenario.name if args.out else None
-    report = lab.run(scenario, out_dir=out, quiet=args.quiet)
-    if not args.quiet and out is not None:
-        print(f"wrote frames.csv, diagnostics.csv, report.json under {out}")
+    report = lab.run(scenario, out_dir=out)
+    if not args.quiet:
+        print(f"[{report.name}] verdict={report.classification.verdict.value} "
+              f"final_center={report.final_center:.6g} final_sup={report.final_sup:.6g}"
+              + (f" h_pred={report.h_pred:.6g}" if report.h_pred is not None else ""))
+        if out is not None:
+            print(f"wrote frames.csv, diagnostics.csv, report.json under {out}")
     return 0
 
 
@@ -101,8 +105,7 @@ def _attach_values(argv):
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config)
     values = _parse_values(args.param, args.values)
-    result = lab.sweep(scenario, args.param, values, threads=args.threads,
-                       out_dir=args.out, quiet=True)
+    result = lab.sweep(scenario, args.param, values, threads=args.threads, out_dir=args.out)
     if not args.quiet:
         print(result.table)
     failed = sum(1 for row in result.rows if row.error is not None)
@@ -110,10 +113,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = lab.verify(args.suite, quiet=args.quiet)
+    report = lab.verify(args.suite)
+    summary = f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
     if args.quiet:
         # still emit the single-line summary so scripts can grep it
-        print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
+        print(summary)
+    else:
+        for check in report.checks:
+            print(check.line())
+        print(f"{summary} ({report.elapsed_seconds:.1f}s)")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -71,18 +71,16 @@ class TabulatedInitial:
             raise ScenarioError("initial.samples: values must be finite")
 
     def field(self, grid: RadialGrid) -> RadialField:
-        r = np.asarray(self.radii, dtype=float)
-        u = np.asarray(self.values, dtype=float)
-        if r[0] > 0.0 or r[-1] < grid.r_max * (1 - 1e-12):
-            raise ScenarioError(
-                f"initial.samples: must cover [0, {grid.r_max}], got [{r[0]}, {r[-1]}]"
-            )
-        return RadialField(grid, np.interp(grid.nodes, r, u))
+        return RadialField(grid, np.interp(grid.nodes, self.radii, self.values))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    The cross-field rules are checked here, so a parsed, swept or
+    dataclasses.replace'd scenario passes the same checks.
+    """
 
     name: str
     profile: DriftProfile
@@ -92,6 +90,29 @@ class Scenario:
     solver: SolverConfig
     t_end: float
     diag_radius: float
+
+    def __post_init__(self):
+        # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
+        # the implicit matrix is then no M-matrix and positivity is not guaranteed.
+        if self.solver.advection == "centered" and self.n_dim >= 4:
+            raise ScenarioError(f"solver.advection: centered advection needs n <= 3, "
+                                f"got n = {self.n_dim}; use upwind")
+        if self.t_end < 0:
+            raise ScenarioError(f"run.t_end: must be non-negative, got {self.t_end}")
+        r_max = self.grid.r_max
+        if not 0 < self.diag_radius <= r_max * (1 + 1e-12):
+            raise ScenarioError(
+                f"run.diag_radius: must lie in (0, r_max={r_max}], got {self.diag_radius}"
+            )
+        # psi and u0 are sampled on the whole grid
+        if isinstance(self.profile, Tabulated) and self.profile.radii[-1] < r_max * (1 - 1e-12):
+            raise ScenarioError(f"profile.samples: must cover the grid radius {r_max}, "
+                                f"got up to {self.profile.radii[-1]}")
+        if isinstance(self.initial, TabulatedInitial):
+            r = self.initial.radii
+            if r[0] > 0.0 or r[-1] < r_max * (1 - 1e-12):
+                raise ScenarioError(f"initial.samples: must cover [0, {r_max}], "
+                                    f"got [{r[0]}, {r[-1]}]")
 
     def initial_field(self) -> RadialField:
         return self.initial.field(self.grid)
@@ -224,15 +245,6 @@ def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
     return TabulatedInitial(rs, vs)
 
 
-def _check_advection(solver: SolverConfig, n_dim: int) -> None:
-    # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
-    # the implicit matrix is then no M-matrix and positivity is not guaranteed.
-    if solver.advection == "centered" and n_dim >= 4:
-        raise ScenarioError(
-            f"solver.advection: centered advection needs n <= 3, got n = {n_dim}; use upwind"
-        )
-
-
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document, applying defaults for omissions."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
@@ -285,33 +297,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(f"solver: {exc}") from exc
-    _check_advection(solver, n_dim)
-
-    t_end = _num("run", "t_end", run_v.get("t_end", repr(DEFAULT_T_END)))
-    if t_end < 0:
-        raise ScenarioError(f"run.t_end: must be non-negative, got {t_end}")
-    diag_radius = _num("run", "diag_radius", run_v.get("diag_radius", repr(0.8 * r_max)))
-    if not 0 < diag_radius <= r_max * (1 + 1e-12):
-        raise ScenarioError(
-            f"run.diag_radius: must lie in (0, r_max={r_max}], got {diag_radius}"
-        )
-    scen_name = run_v.get("name", name).strip() or name
-
-    # a tabulated drift must cover the whole grid, since the solver samples psi everywhere
-    if isinstance(profile, Tabulated) and profile.radii[-1] < r_max * (1 - 1e-12):
-        raise ScenarioError(
-            f"profile.samples: must cover the grid radius {r_max}, got up to {profile.radii[-1]}"
-        )
 
     return Scenario(
-        name=scen_name,
+        name=run_v.get("name", name).strip() or name,
         profile=profile,
         n_dim=n_dim,
         initial=initial,
         grid=grid,
         solver=solver,
-        t_end=t_end,
-        diag_radius=diag_radius,
+        t_end=_num("run", "t_end", run_v.get("t_end", repr(DEFAULT_T_END))),
+        diag_radius=_num("run", "diag_radius", run_v.get("diag_radius", repr(0.8 * r_max))),
     )
 
 
@@ -337,7 +332,6 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
         return replace(scenario, initial=replace(scenario.initial, sigma=float(value)))
     if parameter == "n_dim":
         n = int(value)
-        _check_advection(scenario.solver, n)
         grid = replace(scenario.grid, n_dim=n)
         profile = scenario.profile
         if isinstance(profile, LogCorrected):
@@ -347,14 +341,7 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
             initial = replace(initial, n_dim=n)
         return replace(scenario, n_dim=n, grid=grid, profile=profile, initial=initial)
     if parameter == "r_max":
-        r_max = float(value)
-        if scenario.diag_radius > r_max * (1 + 1e-12):
-            raise ScenarioError(
-                f"diag_radius {scenario.diag_radius} exceeds swept r_max {r_max}"
-            )
-        if isinstance(scenario.profile, Tabulated) and scenario.profile.radii[-1] < r_max:
-            raise ScenarioError("tabulated profile does not cover the swept r_max")
-        return replace(scenario, grid=replace(scenario.grid, r_max=r_max))
+        return replace(scenario, grid=replace(scenario.grid, r_max=float(value)))
     if parameter == "num_nodes":
         return replace(scenario, grid=replace(scenario.grid, num_nodes=int(value)))
     return replace(scenario, solver=replace(scenario.solver, dt=float(value)))

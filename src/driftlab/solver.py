@@ -212,12 +212,8 @@ class _ThetaStepper:
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
-    """Advance a field by one time step config.dt."""
-    stepper = _ThetaStepper(u.grid, profile, config, config.dt)
-    out = stepper.advance(u.values)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("time step produced non-finite values")
-    return RadialField(u.grid, out)
+    """Advance a field by one time step config.dt: the last frame of solve to t = dt."""
+    return solve(u, profile, config, config.dt).final
 
 
 def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: float) -> Trajectory:

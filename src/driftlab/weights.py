@@ -162,7 +162,6 @@ def upper_gamma(s: float, x: float) -> float:
     subtraction away from x > s, where Gamma(s, x) << Gamma(s).  Returns inf
     where Gamma(s) or x^s e^{-x} exceeds the double range.
     """
-    eps, tiny = 2.0**-53, 1e-300
     try:
         if x == 0.0:
             return math.gamma(s)
@@ -173,29 +172,48 @@ def upper_gamma(s: float, x: float) -> float:
             scale = x**s * math.exp(-x)
         else:
             scale = math.exp(s_log_x - x)
-        if x < 1.0 or x < s:
-            a, term, total = s, 1.0 / s, 1.0 / s
-            while term > eps * total:
-                a += 1.0
-                term *= x / a
-                total += term
-            return math.gamma(s) - scale * total
-        b = x + 1.0 - s
-        c, d = 1.0 / tiny, 1.0 / b
-        h, k, delta = d, 0, 0.0
-        while abs(delta - 1.0) > eps:
-            k += 1
-            an = -k * (k - s)
-            b += 2.0
-            d = an * d + b
-            c = b + an / c
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = c if abs(c) > tiny else tiny
-            delta = c * d
-            h *= delta
-        return scale * h
+        series, t = _gamma_terms(s, x)
+        return math.gamma(s) - scale * t if series else scale * t
     except OverflowError:
         return math.inf
+
+
+def _log_upper_gamma(s: float, x: float) -> float:
+    """log Gamma(s, x) = lgamma(s) + log Q(s, x) from upper_gamma's terms, finite past Gamma(s)."""
+    if x == 0.0:
+        return math.lgamma(s)
+    log_scale = s * math.log(x) - x
+    series, t = _gamma_terms(s, x)
+    if series:  # Q = 1 - x^s e^{-x} t / Gamma(s)
+        return math.lgamma(s) + math.log1p(-math.exp(log_scale - math.lgamma(s)) * t)
+    return log_scale + math.log(t)
+
+
+def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
+    """(True, series t) below x = max(s, 1), where Gamma(s, x) = Gamma(s) - x^s e^{-x} t,
+    else (False, continued fraction t), where Gamma(s, x) = x^s e^{-x} t; x > 0."""
+    eps, tiny = 2.0**-53, 1e-300
+    if x < 1.0 or x < s:
+        a, term, total = s, 1.0 / s, 1.0 / s
+        while term > eps * total:
+            a += 1.0
+            term *= x / a
+            total += term
+        return True, total
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h, k, delta = d, 0, 0.0
+    while abs(delta - 1.0) > eps:
+        k += 1
+        an = -k * (k - s)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = c if abs(c) > tiny else tiny
+        delta = c * d
+        h *= delta
+    return False, h
 
 
 def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
@@ -227,7 +245,16 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
         s = n / g
         hi = 0.0 if math.isinf(b) else upper_gamma(s, c * b**g)
         lo = upper_gamma(s, c * a**g)
-        return K / g * c**(-s) * (lo - hi)
+        out = K / g * c**(-s) * (lo - hi)
+        if math.isfinite(out):
+            return out
+        # Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
+        log_k = math.log(K / g) - s * math.log(c)
+        try:
+            hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, c * b**g))
+            return math.exp(log_k + _log_upper_gamma(s, c * a**g)) - hi
+        except OverflowError:
+            return math.inf
     if kind == "log":
         m, alpha = fam[3], fam[4]
         if abs(n - m) > 1e-12:

@@ -30,7 +30,7 @@ _CACHE: dict = {}
 
 def _suite(name: str) -> lab.SuiteReport:
     if name not in _CACHE:
-        _CACHE[name] = lab.verify(name, quiet=True)
+        _CACHE[name] = lab.verify(name)
     return _CACHE[name]
 
 

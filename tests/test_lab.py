@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 
 import driftlab
 from driftlab import cli, lab
+from driftlab.grid import RadialField, RadialGrid
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
 from driftlab.scenario import ScenarioError, parse_scenario
-from driftlab.weights import Verdict, classify
+from driftlab.solver import SolverConfig, Trajectory
+from driftlab.weights import DiagnosticSeries, Verdict, classify
 
 FAST_SUPERCRITICAL = """
 [profile]
@@ -360,6 +363,83 @@ def test_relaxation_exponent_only_for_finite_supercritical_growth(profile, n_dim
     assert lab.relaxation_exponent(classify(profile, n_dim), n_dim) == exponent
 
 
+def _two_frame_run(v0, v1, weighted_mass, certified=True, lifts_off=True):
+    """Measures and invariant flags of a hand-built two-frame run on 5 nodes."""
+    grid = RadialGrid(4.0, 5, 2)
+    cfg = SolverConfig(dt=1.0, theta=1.0, advection="upwind") if certified else SolverConfig(1.0)
+    values = np.array([v0, v1], dtype=float)
+    traj = Trajectory(grid, [0.0, 1.0], values, Zero(), cfg)
+    iw = np.array(weighted_mass, dtype=float)
+    series = DiagnosticSeries(traj.times, iw, values.max(axis=1), values[:, 0].copy(), iw, 4.0)
+    measures = lab.field_measures(values) | lab.series_measures(series)
+    return measures, lab._invariant_flags(traj, RadialField(grid, v0), series, lifts_off)
+
+
+RAMP = [1.0, 0.75, 0.5, 0.25, 0.0]
+
+
+def _one_violation(measure):
+    """(flag, bound, x, run with the violation x) for one measure.
+
+    x at the bound gives the measure exactly the bound, the next double above x a
+    larger measure.
+    """
+    return {
+        # off the certified scheme, so that the max principle does not also apply
+        "positivity": ("positivity", lab.POSITIVITY_ATOL, 1e-12,
+                       lambda x: _two_frame_run(RAMP, [0.5, 0.25, 0.0, 0.0, -x], [1.0, 1.0],
+                                                certified=False)),
+        "max_principle": ("max_principle", lab.MAX_PRINCIPLE_ATOL, 1e-12,
+                          lambda x: _two_frame_run([0.0] * 5, [x, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0])),
+        "radial_monotonicity": ("radial_monotonicity", lab.MONOTONE_ATOL, 1e-10,
+                                lambda x: _two_frame_run(RAMP, [0.5, 0.0, x, 0.0, 0.0],
+                                                         [1.0, 1.0])),
+        "weighted_mass_drift": ("weighted_mass_conserved", lab.CONSERVATION_DRIFT_RTOL, 1001.0,
+                                lambda x: _two_frame_run(RAMP, RAMP, [1000.0, x])),
+        "weighted_mass_rise": ("weighted_mass_monotone", lab.MONOTONE_MASS_RTOL, 1e6 + 1.0,
+                               lambda x: _two_frame_run(RAMP, RAMP, [1e6, x], lifts_off=False)),
+    }[measure]
+
+
+@pytest.mark.parametrize("measure", ["positivity", "max_principle", "radial_monotonicity",
+                                     "weighted_mass_drift", "weighted_mass_rise"])
+def test_each_invariant_flag_flips_exactly_at_its_bound(measure):
+    flag, bound, x, build = _one_violation(measure)
+    measures, flags = build(x)
+    assert measures[measure] == bound
+    assert flags[flag] is True
+    assert all(f in (True, None) for f in flags.values())
+    measures, flags = build(np.nextafter(x, np.inf))
+    assert measures[measure] > bound
+    assert [k for k, f in flags.items() if f is False] == [flag]
+
+
+def test_measures_of_a_hand_built_run():
+    measures, flags = _two_frame_run(RAMP, [0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0])
+    assert measures["positivity"] == math.inf and flags["positivity"] is False  # center hit 0
+    # max |u0| = 2 scales positivity by 1/2 and the other field measures by 1/max(1, 2)
+    measures, _ = _two_frame_run([2.0, 1.0, 0.5, 0.0, 0.0], [1.0, -0.5, 1.0, 2.5, 0.0], [1.0, 1.0])
+    assert measures["positivity"] == 0.25
+    assert measures["max_principle"] == 0.25
+    assert measures["radial_monotonicity"] == 0.75
+    sup, iw = np.array([2.0, 1.0, 1.5, 0.2]), np.array([4.0, 3.0, 3.75, 4.5])
+    series = DiagnosticSeries(np.arange(4.0), iw, sup, sup, iw, 4.0)
+    assert lab.series_measures(series) == {"weighted_mass_drift": 0.25, "weighted_mass_rise": 0.25,
+                                           "sup_rise": 0.5, "sup_fraction": 0.1}
+    single = DiagnosticSeries(np.zeros(1), iw[:1], sup[:1], sup[:1], iw[:1], 4.0)
+    assert lab.series_measures(single) == {"weighted_mass_drift": 0.0,
+                                           "weighted_mass_rise": -math.inf,
+                                           "sup_rise": -math.inf, "sup_fraction": 1.0}
+
+
+def test_replaced_reference_scenario_is_validated():
+    # LINEAR_ORACLE integrates I_R to 16, which r_max 12 no longer contains
+    with pytest.raises(ScenarioError, match=r"^run\.diag_radius: must lie in \(0, r_max=12\.0\]"):
+        replace(lab.LINEAR_ORACLE, grid=replace(lab.LINEAR_ORACLE.grid, r_max=12.0))
+    with pytest.raises(ScenarioError, match=r"^run\.t_end"):
+        replace(lab.LINEAR_ORACLE, t_end=-1.0)
+
+
 def test_verify_unknown_suite_lists_valid_names():
     with pytest.raises(ValueError, match="critical"):
         lab.verify("spectral")
@@ -432,6 +512,24 @@ sigma = 1
     assert rc == 0
     out = capsys.readouterr().out
     assert "undetermined" in out and "growth limit: n/a" in out
+
+
+def test_cli_classify_weight_mass_past_the_gamma_function_range(tmp_path, capsys):
+    cfg = _write_config(tmp_path, """
+[profile]
+kind = powerlaw
+A = 1
+beta = -0.99
+
+[domain]
+n = 2
+
+[initial]
+kind = gaussian
+sigma = 1
+""")
+    assert cli.main(["classify", cfg]) == 0
+    assert "verdict: lift_off" in capsys.readouterr().out
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -179,6 +179,14 @@ sigma = 1
         parse_scenario(text)
 
 
+def test_tabulated_initial_must_cover_grid_when_parsed():
+    text = MINIMAL.replace("n = 2", "n = 2\nr_max = 20").replace(
+        "kind = gaussian\nsigma = 1", "kind = tabulated\nsamples = 0:1, 10:0")
+    with pytest.raises(ScenarioError,
+                       match=r"^initial\.samples: must cover \[0, 20\.0\], got \[0\.0, 10\.0\]$"):
+        parse_scenario(text)
+
+
 def test_malformed_document():
     with pytest.raises(ScenarioError, match="malformed"):
         parse_scenario("profile\nkind = zero")
@@ -226,6 +234,21 @@ def test_apply_parameter_r_max_guards_diag_radius():
         apply_parameter(s, "r_max", 30.0)  # diag radius 32 would stick out
     s2 = apply_parameter(s, "r_max", 64.0)
     assert s2.grid.r_max == 64.0
+
+
+def test_swept_scenarios_pass_the_parser_checks():
+    # the swept r_max and the parsed document fail with the same message
+    swept = "run.diag_radius: must lie in (0, r_max=30.0], got 32.0"
+    with pytest.raises(ScenarioError) as exc:
+        apply_parameter(parse_scenario(SUPERCRITICAL), "r_max", 30.0)
+    assert str(exc.value) == swept
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(SUPERCRITICAL.replace("r_max = 40", "r_max = 30"))
+    assert str(exc.value) == swept
+    tabulated = parse_scenario(MINIMAL.replace("kind = zero",
+                                               "kind = tabulated\nsamples = 0:0, 20:1"))
+    with pytest.raises(ScenarioError, match=r"^profile\.samples: must cover the grid radius 30\.0"):
+        apply_parameter(tabulated, "r_max", 30.0)
 
 
 def test_linear_profile_kind():

@@ -206,6 +206,18 @@ def test_divergence_reported_with_step_index():
                 solve(u0, Zero(), cfg, 200.0)
 
 
+def test_step_is_one_step_of_solve():
+    g = _grid()
+    u0 = GaussianData(1.0, 2).field(g)
+    for cfg in (SolverConfig(dt=1e-2), SolverConfig(dt=1e-2, theta=1.0, advection="upwind")):
+        one = solve(u0, PROFILES[0], cfg, cfg.dt).values[-1]
+        assert np.array_equal(step(u0, PROFILES[0], cfg).values, one)
+    # a diverging step is reported as solve reports it
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match=r"at step 1 \(t = 1e\+308\)$"):
+            step(u0, Zero(), SolverConfig(dt=1e308, theta=0.0))
+
+
 def _reference_solve(u0, profile, cfg, n_full, t_end):
     """The theta-scheme as a plain loop: banded I - theta*dt*L solved afresh every step.
 

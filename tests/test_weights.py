@@ -225,6 +225,17 @@ def test_phi_mass_values():
     assert classify(p, 2).phi_mass == pytest.approx(far + tail, rel=1e-6)
 
 
+def test_phi_mass_past_the_range_of_the_gamma_function():
+    # psi = r^-0.99 beyond r0 = 1 in n = 2: s = n / (beta + 1) = 200, so Gamma(200) and
+    # c^-s = 100^-200 leave the double range while the weight mass does not; the reference
+    # is scipy's gammaln and gammaincc for the far field plus the ramp segment
+    result = classify(PowerLaw(1.0, -0.99, 1.0), 2)
+    assert result.verdict is Verdict.LIFT_OFF
+    assert result.phi_mass == pytest.approx(4.0396102184774825e18, rel=1e-13)
+    # s = 40 stays on the direct product
+    assert classify(PowerLaw(1.0, -0.95, 1.0), 2).phi_mass == 68600.98299720121
+
+
 def test_upper_gamma_matches_scipy():
     from scipy.special import gamma, gammaincc
 
