@@ -470,7 +470,7 @@ def _frame_at(traj: Trajectory, t_target: float) -> np.ndarray:
 def _gaussian(name: str, profile, r_max: float, num_nodes: int, solver: SolverConfig,
               t_end: float, diag_radius: float, n_dim: int = 2) -> Scenario:
     """A reference run from the unit Gaussian datum exp(-r^2/4), by default in dimension 2."""
-    return Scenario(name, profile, n_dim, GaussianData(sigma=1.0, n_dim=n_dim),
+    return Scenario(name, profile, GaussianData(sigma=1.0, n_dim=n_dim),
                     RadialGrid(r_max, num_nodes, n_dim), solver, t_end, diag_radius)
 
 

@@ -211,6 +211,21 @@ class Zero(DriftProfile):
         return True
 
 
+def tabulated_samples(radii, values) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(radii, values) of a sampled function as float tuples, under the rules every
+    tabulated input shares: at least two r:value pairs, finite, strictly increasing radii."""
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
+        raise ValueError("need at least two r:value pairs")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise ValueError("samples must be finite")
+    if np.any(np.diff(r) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    return tuple(r.tolist()), tuple(v.tolist())
+
+
+@dataclass(frozen=True)
 class Tabulated(DriftProfile):
     """Sampled psi with linear interpolation between strictly increasing radii.
 
@@ -218,36 +233,18 @@ class Tabulated(DriftProfile):
     ProfileRangeError rather than extrapolating.
     """
 
-    __slots__ = ("radii", "speeds")
+    radii: tuple
+    speeds: tuple
 
-    def __init__(self, radii, speeds):
-        r = np.array(radii, dtype=float)
-        p = np.array(speeds, dtype=float)
-        if r.ndim != 1 or r.shape != p.shape or len(r) < 2:
-            raise ValueError("need matching 1-d sample arrays with at least 2 points")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-            raise ValueError("samples must be finite")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("sample radii must be strictly increasing")
+    def __post_init__(self):
+        r, p = tabulated_samples(self.radii, self.speeds)
         if r[0] != 0.0 or p[0] != 0.0:
             raise ValueError("samples must start at r=0 with psi(0)=0")
-        r.flags.writeable = False
-        p.flags.writeable = False
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "speeds", p)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tabulated profile is immutable")
-
     def __repr__(self):
         return f"Tabulated({len(self.radii)} samples on [0, {self.radii[-1]}])"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tabulated)
-            and np.array_equal(self.radii, other.radii)
-            and np.array_equal(self.speeds, other.speeds)
-        )
 
     def _check_range(self, rr):
         if np.any(rr > self.radii[-1] * (1 + 1e-12) + 1e-300):
@@ -263,24 +260,25 @@ class Tabulated(DriftProfile):
     def psi_integral(self, r):
         rr = _as_array(r)
         self._check_range(rr)
-        seg = 0.5 * (self.speeds[1:] + self.speeds[:-1]) * np.diff(self.radii)
+        radii, speeds = np.array(self.radii), np.array(self.speeds)
+        seg = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(radii)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
-        k = np.clip(np.searchsorted(self.radii, rr, side="right") - 1, 0, len(self.radii) - 2)
-        pr = np.interp(rr, self.radii, self.speeds)
-        out = cum[k] + 0.5 * (self.speeds[k] + pr) * (rr - self.radii[k])
+        k = np.clip(np.searchsorted(radii, rr, side="right") - 1, 0, len(radii) - 2)
+        pr = np.interp(rr, radii, speeds)
+        out = cum[k] + 0.5 * (speeds[k] + pr) * (rr - radii[k])
         return _scalar_or_array(out, r)
 
     @property
     def nonnegative(self) -> bool:
-        return bool(np.all(self.speeds >= 0))
+        return min(self.speeds) >= 0
 
     @property
     def nonpositive(self) -> bool:
-        return bool(np.all(self.speeds <= 0))
+        return max(self.speeds) <= 0
 
     def positive_part(self) -> "Tabulated":
         """Piecewise-linear max(psi, 0), with zero crossings made explicit."""
-        r, p = list(self.radii), list(self.speeds)
+        r, p = self.radii, self.speeds
         out_r, out_p = [r[0]], [max(p[0], 0.0)]
         for k in range(len(r) - 1):
             if p[k] * p[k + 1] < 0:

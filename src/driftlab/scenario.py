@@ -28,7 +28,8 @@ import numpy as np
 
 from .grid import RadialField, RadialGrid
 from .oracles import GaussianData
-from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero
+from .profiles import (DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero,
+                       tabulated_samples)
 from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig
 
 DEFAULT_R_MAX = 20.0
@@ -61,14 +62,9 @@ class TabulatedInitial:
     values: tuple
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        u = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or r.shape != u.shape or len(r) < 2:
-            raise ScenarioError("initial.samples: need at least two r:u pairs")
-        if np.any(np.diff(r) <= 0):
-            raise ScenarioError("initial.samples: radii must be strictly increasing")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u))):
-            raise ScenarioError("initial.samples: values must be finite")
+        r, u = tabulated_samples(self.radii, self.values)
+        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "values", u)
 
     def field(self, grid: RadialGrid) -> RadialField:
         return RadialField(grid, np.interp(grid.nodes, self.radii, self.values))
@@ -79,17 +75,21 @@ class Scenario:
     """A fully validated experiment description.
 
     The cross-field rules are checked here, so a parsed, swept or
-    dataclasses.replace'd scenario passes the same checks.
+    dataclasses.replace'd scenario passes the same checks.  The ambient
+    dimension is the grid's; a Gaussian datum must live in it.
     """
 
     name: str
     profile: DriftProfile
-    n_dim: int
     initial: GaussianData | TabulatedInitial
     grid: RadialGrid
     solver: SolverConfig
     t_end: float
     diag_radius: float
+
+    @property
+    def n_dim(self) -> int:
+        return self.grid.n_dim
 
     def __post_init__(self):
         # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
@@ -108,6 +108,9 @@ class Scenario:
         if isinstance(self.profile, Tabulated) and self.profile.radii[-1] < r_max * (1 - 1e-12):
             raise ScenarioError(f"profile.samples: must cover the grid radius {r_max}, "
                                 f"got up to {self.profile.radii[-1]}")
+        if isinstance(self.initial, GaussianData) and self.initial.n_dim != self.n_dim:
+            raise ScenarioError(f"initial: the gaussian datum lives in dimension "
+                                f"{self.initial.n_dim}, the grid in {self.n_dim}")
         if isinstance(self.initial, TabulatedInitial):
             r = self.initial.radii
             if r[0] > 0.0 or r[-1] < r_max * (1 - 1e-12):
@@ -162,20 +165,18 @@ def _choice(section: str, key: str, raw: str, allowed: tuple) -> str:
     return val
 
 
-def _samples(section: str, key: str, raw: str) -> tuple[tuple, tuple]:
+def _samples(section: str, raw: str) -> tuple[list, list]:
+    """Split r:value pairs into radii and values; tabulated_samples checks them."""
     rs, vs = [], []
-    for token in raw.replace("\n", ",").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" not in token:
-            raise ScenarioError(f"{section}.{key}: expected r:value pairs, got {token!r}")
-        a, b = token.split(":", 1)
-        rs.append(_num(section, key, a.strip()))
-        vs.append(_num(section, key, b.strip()))
-    if len(rs) < 2:
-        raise ScenarioError(f"{section}.{key}: need at least two r:value pairs")
-    return tuple(rs), tuple(vs)
+    for token in filter(None, map(str.strip, raw.replace("\n", ",").split(","))):
+        try:
+            r, v = map(float, token.split(":", 1))
+        except ValueError:
+            raise ScenarioError(f"{section}.samples: expected r:value pairs of numbers, "
+                                f"got {token!r}") from None
+        rs.append(r)
+        vs.append(v)
+    return rs, vs
 
 
 def _build_profile(values: dict, n_dim: int) -> DriftProfile:
@@ -203,12 +204,11 @@ def _build_profile(values: dict, n_dim: int) -> DriftProfile:
             prof = Zero()
         else:
             used |= {"samples"}
-            rs, vs = _samples("profile", "samples", _require(values, "profile", "samples"))
-            prof = Tabulated(rs, vs)
+            prof = Tabulated(*_samples("profile", _require(values, "profile", "samples")))
     except ScenarioError:
         raise
-    except ValueError as exc:
-        raise ScenarioError(f"profile: {exc}") from exc
+    except ValueError as exc:  # a tabulated profile fails only on its samples
+        raise ScenarioError(f"profile{'.samples' if kind == 'tabulated' else ''}: {exc}") from exc
     stray = set(values) - used
     if stray:
         raise ScenarioError(f"profile.{sorted(stray)[0]}: not a parameter of kind {kind!r}")
@@ -218,20 +218,17 @@ def _build_profile(values: dict, n_dim: int) -> DriftProfile:
 def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
     kind = _choice("initial", "kind", _require(values, "initial", "kind"),
                    ("gaussian", "tabulated"))
+    stray = set(values) - ({"kind", "sigma"} if kind == "gaussian" else {"kind", "samples", "file"})
+    if stray:
+        raise ScenarioError(f"initial.{sorted(stray)[0]}: not a {kind} parameter")
     if kind == "gaussian":
-        stray = set(values) - {"kind", "sigma"}
-        if stray:
-            raise ScenarioError(f"initial.{sorted(stray)[0]}: not a gaussian parameter")
         sigma = _num("initial", "sigma", _require(values, "initial", "sigma"))
         try:
             return GaussianData(sigma=sigma, n_dim=n_dim)
         except ValueError as exc:
             raise ScenarioError(f"initial.sigma: {exc}") from exc
-    stray = set(values) - {"kind", "samples", "file"}
-    if stray:
-        raise ScenarioError(f"initial.{sorted(stray)[0]}: not a tabulated parameter")
     if "samples" in values:
-        rs, vs = _samples("initial", "samples", values["samples"])
+        rs, vs = _samples("initial", values["samples"])
     elif "file" in values:
         try:
             data = np.loadtxt(values["file"], delimiter=",", ndmin=2)
@@ -239,10 +236,13 @@ def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
             raise ScenarioError(f"initial.file: cannot read {values['file']!r}: {exc}") from exc
         if data.shape[1] != 2:
             raise ScenarioError("initial.file: expected two CSV columns r,u")
-        rs, vs = tuple(data[:, 0]), tuple(data[:, 1])
+        rs, vs = data[:, 0], data[:, 1]
     else:
         raise ScenarioError("initial.samples: missing required key (or initial.file)")
-    return TabulatedInitial(rs, vs)
+    try:
+        return TabulatedInitial(rs, vs)
+    except ValueError as exc:
+        raise ScenarioError(f"initial.samples: {exc}") from exc
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -301,7 +301,6 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     return Scenario(
         name=run_v.get("name", name).strip() or name,
         profile=profile,
-        n_dim=n_dim,
         initial=initial,
         grid=grid,
         solver=solver,
@@ -333,13 +332,12 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     if parameter == "n_dim":
         n = int(value)
         grid = replace(scenario.grid, n_dim=n)
-        profile = scenario.profile
+        profile, initial = scenario.profile, scenario.initial
         if isinstance(profile, LogCorrected):
             profile = replace(profile, n_dim=n)
-        initial = scenario.initial
         if isinstance(initial, GaussianData):
             initial = replace(initial, n_dim=n)
-        return replace(scenario, n_dim=n, grid=grid, profile=profile, initial=initial)
+        return replace(scenario, grid=grid, profile=profile, initial=initial)
     if parameter == "r_max":
         return replace(scenario, grid=replace(scenario.grid, r_max=float(value)))
     if parameter == "num_nodes":

@@ -115,10 +115,10 @@ def _family(w: WeightFunction):
     """Far-field form of phi beyond the ramp knot, for closed-form integrals.
 
     Returns one of
-        ("const", knot, K)            phi = K
-        ("power", knot, K, A)         phi = K r^-A
-        ("gamma", knot, K, c, g)      phi = K exp(-c r^g), c > 0, g > 0
-        ("log",   knot, K, m, a)      phi = K r^-m (log r)^-a
+        ("const", knot, K)               phi = K
+        ("power", knot, K, A)            phi = K r^-A
+        ("gamma", knot, K, c, g, log K)  phi = K exp(-c r^g), c > 0, g > 0
+        ("log",   knot, K, m, a)         phi = K r^-m (log r)^-a
     or None when no closed form applies.
     """
     p = w.profile
@@ -129,7 +129,7 @@ def _family(w: WeightFunction):
     if isinstance(p, Zero):
         return ("const", 0.0, 1.0)
     if isinstance(p, Linear):
-        return ("gamma", 0.0, 1.0, 0.5, 2.0)
+        return ("gamma", 0.0, 1.0, 0.5, 2.0, 0.0)
     if isinstance(p, PowerLaw):
         knot = p.r0
         phi0 = math.exp(-p.psi_integral(knot))
@@ -141,7 +141,12 @@ def _family(w: WeightFunction):
         g = b + 1.0
         c = A / g
         if c > 0 and g > 0:
-            return ("gamma", knot, phi0 * math.exp(c * knot**g), c, g)
+            # K = inf where e^{c r0^g} leaves the double range; log K stays finite
+            try:
+                K = phi0 * math.exp(c * knot**g)
+            except OverflowError:
+                K = math.inf
+            return ("gamma", knot, K, c, g, c * knot**g - p.psi_integral(knot))
         return None
     if isinstance(p, LogCorrected):
         knot = p.r0
@@ -248,8 +253,8 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
         out = K / g * c**(-s) * (lo - hi)
         if math.isfinite(out):
             return out
-        # Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
-        log_k = math.log(K / g) - s * math.log(c)
+        # K, Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
+        log_k = fam[5] - math.log(g) - s * math.log(c)
         try:
             hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, c * b**g))
             return math.exp(log_k + _log_upper_gamma(s, c * a**g)) - hi
@@ -336,10 +341,6 @@ class Verdict(Enum):
     def decays(self) -> bool:
         return self in (Verdict.DECAY, Verdict.CRITICAL_DECAY)
 
-    @property
-    def is_critical(self) -> bool:
-        return self in (Verdict.CRITICAL_LIFT_OFF, Verdict.CRITICAL_DECAY)
-
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -408,7 +409,7 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
     n = float(n_dim)
 
     if isinstance(profile, Tabulated):
-        radii = profile.radii
+        radii = np.array(profile.radii)
         mask = radii > max(1.5, 0.25 * radii[-1])
         bounds = None
         if np.any(mask):

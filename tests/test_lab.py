@@ -15,6 +15,7 @@ import driftlab
 from driftlab import cli, lab
 from driftlab.grid import RadialField, RadialGrid
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
+from driftlab.oracles import GaussianData
 from driftlab.scenario import ScenarioError, parse_scenario
 from driftlab.solver import SolverConfig, Trajectory
 from driftlab.weights import DiagnosticSeries, Verdict, classify
@@ -252,6 +253,15 @@ def test_run_rejects_an_overflowing_weight_before_simulating(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ScenarioError, match=r"profile: .*Tabulated.* overflows"):
             lab.run(scenario)
+
+
+def test_gaussian_datum_in_another_dimension_is_rejected_before_simulating(monkeypatch):
+    def no_simulate(scenario):
+        raise AssertionError("simulated a scenario whose datum and grid disagree on n")
+
+    monkeypatch.setattr(lab, "simulate", no_simulate)
+    with pytest.raises(ScenarioError, match=r"^initial: .* dimension 3, the grid in 2$"):
+        lab.run(replace(lab.LINEAR_ORACLE, initial=GaussianData(sigma=1.0, n_dim=3)))
 
 
 def test_cli_simulate_rejects_an_overflowing_weight(tmp_path, capsys, monkeypatch):
@@ -515,11 +525,13 @@ sigma = 1
 
 
 def test_cli_classify_weight_mass_past_the_gamma_function_range(tmp_path, capsys):
-    cfg = _write_config(tmp_path, """
+    # beta = -0.999 also puts e^{c r0^g} = e^1000 past the double range
+    for beta in ("-0.99", "-0.999"):
+        cfg = _write_config(tmp_path, f"""
 [profile]
 kind = powerlaw
 A = 1
-beta = -0.99
+beta = {beta}
 
 [domain]
 n = 2
@@ -528,8 +540,8 @@ n = 2
 kind = gaussian
 sigma = 1
 """)
-    assert cli.main(["classify", cfg]) == 0
-    assert "verdict: lift_off" in capsys.readouterr().out
+        assert cli.main(["classify", cfg]) == 0
+        assert "verdict: lift_off" in capsys.readouterr().out
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -131,7 +131,7 @@ def test_tabulated_validation():
 def test_tabulated_positive_part_integral():
     t = Tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 2.0, -2.0, 1.0])
     tp = t.positive_part()
-    assert np.all(tp.speeds >= 0.0)
+    assert min(tp.speeds) >= 0.0
     for r in (0.7, 1.4, 2.9, 4.0):
         expected, _ = quad(lambda s: max(t.psi(s), 0.0), 0.0, r,
                            points=[p for p in (1.0, 1.5, 2.0, 3.0) if p < r], limit=200)

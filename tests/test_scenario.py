@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
-from driftlab.scenario import ScenarioError, apply_parameter, parse_scenario
+from driftlab.scenario import ScenarioError, TabulatedInitial, apply_parameter, parse_scenario
 
 MINIMAL = """
 [profile]
@@ -159,6 +161,65 @@ t_end = 0.1
     # midpoint of the first segment
     k = np.argmin(np.abs(s.grid.nodes - 5.0))
     assert u0.values[k] == pytest.approx(0.75)
+
+
+TABULATED = """
+[profile]
+kind = tabulated
+samples = {profile}
+
+[domain]
+n = 2
+r_max = 20
+num_nodes = 201
+
+[initial]
+kind = tabulated
+samples = {initial}
+"""
+PROFILE_SAMPLES, INITIAL_SAMPLES = "0:0, 5:1.5, 20:2", "0:1, 10:0.5, 20:0"
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("0:0", "need at least two r:value pairs"),
+    ("0:0, 1:inf, 20:1", "samples must be finite"),
+    ("0:0, 5:1, 5:2, 20:1", "radii must be strictly increasing"),
+])
+def test_each_sample_rule_has_one_message(samples, message):
+    pairs = [token.split(":") for token in samples.split(",")]
+    radii, values = [float(r) for r, _ in pairs], [float(v) for _, v in pairs]
+    for build in (Tabulated, TabulatedInitial):
+        with pytest.raises(ValueError) as exc:
+            build(radii, values)
+        assert str(exc.value) == message
+    for section, text in (
+            ("profile", TABULATED.format(profile=samples, initial=INITIAL_SAMPLES)),
+            ("initial", TABULATED.format(profile=PROFILE_SAMPLES, initial=samples))):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == f"{section}.samples: {message}"
+
+
+def test_equal_tabulated_documents_give_equal_hashable_scenarios():
+    text = TABULATED.format(profile=PROFILE_SAMPLES, initial=INITIAL_SAMPLES)
+    a, b = parse_scenario(text), parse_scenario(text)
+    assert a == b and hash(a) == hash(b)
+    assert a.profile.radii == (0.0, 5.0, 20.0) and a.initial.values == (1.0, 0.5, 0.0)
+    other = parse_scenario(text.replace("5:1.5", "5:1.25"))
+    assert other != a
+    assert len({a, b, other}) == 2
+    for config in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini")):
+        assert hash(parse_scenario(config.read_text())) == hash(parse_scenario(config.read_text()))
+
+
+def test_the_dimension_is_the_grids():
+    s = parse_scenario(MINIMAL.replace("n = 2", "n = 3"))
+    assert s.n_dim == s.grid.n_dim == s.initial.n_dim == 3
+    with pytest.raises(TypeError):
+        replace(s, n_dim=2)
+    with pytest.raises(ScenarioError,
+                       match=r"^initial: the gaussian datum lives in dimension 2, the grid in 3$"):
+        replace(s, initial=GaussianData(sigma=1.0, n_dim=2))
 
 
 def test_tabulated_profile_must_cover_grid():

@@ -234,6 +234,11 @@ def test_phi_mass_past_the_range_of_the_gamma_function():
     assert result.phi_mass == pytest.approx(4.0396102184774825e18, rel=1e-13)
     # s = 40 stays on the direct product
     assert classify(PowerLaw(1.0, -0.95, 1.0), 2).phi_mass == 68600.98299720121
+    # beta = -0.999: c r0^g = 1000 also puts K = phi(r0) e^{c r0^g} past the double range;
+    # the logarithms summed are ~1e4, so each rounds by ~2e-12 (same reference)
+    result = classify(PowerLaw(1.0, -0.999, 1.0), 2)
+    assert result.verdict is Verdict.LIFT_OFF
+    assert result.phi_mass == pytest.approx(1.244901768990049e170, rel=1e-11)
 
 
 def test_upper_gamma_matches_scipy():
