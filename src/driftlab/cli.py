@@ -76,13 +76,13 @@ def _parse_values(parameter: str, raw: str):
     return vals
 
 
-def _thread_count(raw: str) -> int:
+def _worker_count(raw: str) -> int:
     try:
         k = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
     if k < 1:
-        raise argparse.ArgumentTypeError(f"needs at least one worker thread, got {k}")
+        raise argparse.ArgumentTypeError(f"needs at least one worker process, got {k}")
     return k
 
 
@@ -156,8 +156,8 @@ def main(argv=None) -> int:
                            help="repeat a scenario over a list of parameter values")
     p_swp.add_argument("config", help="scenario config file")
     p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
-    p_swp.add_argument("--threads", type=_thread_count, default=1, metavar="K",
-                       help="worker threads (default 1)")
+    p_swp.add_argument("--threads", type=_worker_count, default=1, metavar="K",
+                       help="worker processes, forked, at most one per value (default 1)")
     p_swp.add_argument("--values", required=True, metavar="CSV",
                        help="comma-separated parameter values, e.g. 1,2,3 or -0.5,-0.8")
 

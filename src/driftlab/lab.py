@@ -14,10 +14,10 @@ field_measures or series_measures, for run()'s flags and the suites alike.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -399,11 +399,36 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
           out_dir=None) -> SweepResult:
     """Independent runs of the base scenario with one parameter swept.
 
-    Row order follows the given values regardless of execution order; a row
-    failure is recorded in place and does not abort the remaining runs.
+    Rows run in min(threads, len(values)) worker processes forked from this
+    one (POSIX only); with one worker they run here, one after the other.
+    Each worker runs the whole run() of its row, artifacts included, and
+    sends the row back pickled.  Row order follows the given values; a row
+    failure is recorded in place and does not abort the remaining runs, and
+    a worker that dies marks each row it takes down with BrokenProcessPool.
     """
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda v: _sweep_one(base, parameter, v, out_dir), values))
+    values = list(values)
+    one = functools.partial(_sweep_one, base, parameter, out_dir=out_dir)
+    workers = min(threads, len(values))
+    if workers <= 1:
+        rows = list(map(one, values))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a worker starts with numpy, scipy's LAPACK and
+        # driftlab already imported, where spawn would import them again in
+        # each.  A fork pool starts all its workers at the first submit,
+        # before its own manager thread exists.
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(one, v) for v in values]
+            rows = []
+            for value, fut in zip(values, futures):
+                try:
+                    rows.append(fut.result())
+                except BrokenProcessPool as exc:
+                    rows.append(SweepRow(value=value, error=f"BrokenProcessPool: {exc}"))
     table = _sweep_table(parameter, rows)
     if out_dir is not None:
         out = Path(out_dir)

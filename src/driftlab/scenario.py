@@ -234,6 +234,8 @@ def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
             data = np.loadtxt(values["file"], delimiter=",", ndmin=2)
         except OSError as exc:
             raise ScenarioError(f"initial.file: cannot read {values['file']!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ScenarioError(f"initial.file: {values['file']!r} is not numeric CSV: {exc}") from exc
         if data.shape[1] != 2:
             raise ScenarioError("initial.file: expected two CSV columns r,u")
         rs, vs = data[:, 0], data[:, 1]

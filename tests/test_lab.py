@@ -1,9 +1,11 @@
+import concurrent.futures
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -147,13 +149,39 @@ def test_sweep_records_row_failures_and_continues():
     assert result2.rows[2].report is not None
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_parallel_matches_serial(tmp_path):
     s = parse_scenario(FAST_SUPERCRITICAL)
-    serial = lab.sweep(s, "sigma", [0.5, 1.0], threads=1)
-    parallel = lab.sweep(s, "sigma", [0.5, 1.0], threads=2)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.report.final_center == b.report.final_center
-        assert a.report.h_pred == b.report.h_pred
+    serial = lab.sweep(s, "sigma", [0.5, 1.0], threads=1, out_dir=tmp_path / "serial")
+    parallel = lab.sweep(s, "sigma", [0.5, 1.0], threads=2, out_dir=tmp_path / "parallel")
+    for a, b in zip(serial.rows, parallel.rows, strict=True):
+        assert a.error is None and b.error is None
+        da, db = a.report.to_dict(), b.report.to_dict()
+        del da["elapsed_seconds"], db["elapsed_seconds"]
+        assert da == db
+        row = f"sigma={a.value:g}"
+        for name in ("frames.csv", "diagnostics.csv"):
+            assert ((tmp_path / "serial" / row / name).read_bytes()
+                    == (tmp_path / "parallel" / row / name).read_bytes()), (row, name)
+    assert serial.table == parallel.table
+
+
+def test_sweep_records_a_dead_worker_and_returns(monkeypatch):
+    s = parse_scenario(FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    real_run = lab.run
+
+    def dying_run(scenario, out_dir=None):
+        if scenario.initial.sigma == 0.7:
+            time.sleep(1.0)  # the other rows finish before this worker dies
+            os._exit(3)
+        return real_run(scenario, out_dir=out_dir)
+
+    monkeypatch.setattr(lab, "run", dying_run)  # the forked workers inherit the patch
+    result = lab.sweep(s, "sigma", [0.5, 0.7, 1.0], threads=2)
+    assert [row.value for row in result.rows] == [0.5, 0.7, 1.0]
+    dead = result.rows[1]
+    assert dead.report is None and dead.error.startswith("BrokenProcessPool: ")
+    assert all(row.error is None and row.report is not None for row in result.rows[::2])
+    assert "ERROR" in result.table
 
 
 def test_sweep_convergence_of_errors():
@@ -569,6 +597,23 @@ def test_cli_sweep_rejects_zero_threads_while_parsing(monkeypatch, capsys):
         cli.main(["sweep", "unused.ini", "--param", "A", "--values", "1", "--threads", "0"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_sweep_starts_at_most_one_worker_per_value(tmp_path, monkeypatch, capsys):
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    pool_sizes = []
+
+    def recording_pool(max_workers=None, **kwargs):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    assert cli.main(["sweep", cfg, "--param", "A", "--values", "1,3", "--threads", "64"]) == 0
+    assert pool_sizes == [2]
+    assert cli.main(["sweep", cfg, "--param", "A", "--values", "3", "--threads", "64"]) == 0
+    assert pool_sizes == [2]  # one value runs in this process, without a pool
+    assert "lift_off" in capsys.readouterr().out
 
 
 def test_cli_runs_without_scipy_linalg_or_special(tmp_path):

@@ -248,6 +248,17 @@ def test_tabulated_initial_must_cover_grid_when_parsed():
         parse_scenario(text)
 
 
+def test_non_numeric_initial_file_names_the_key(tmp_path):
+    csv = tmp_path / "u0.csv"
+    csv.write_text("r,u\n0,1\n20,0\n")
+    text = MINIMAL.replace("n = 2", "n = 2\nr_max = 20").replace(
+        "kind = gaussian\nsigma = 1", f"kind = tabulated\nfile = {csv}")
+    with pytest.raises(ScenarioError, match=r"^initial\.file: .*u0\.csv.* is not numeric CSV"):
+        parse_scenario(text)
+    csv.write_text("0,1\n20,0\n")
+    assert parse_scenario(text).initial == TabulatedInitial((0.0, 20.0), (1.0, 0.0))
+
+
 def test_malformed_document():
     with pytest.raises(ScenarioError, match="malformed"):
         parse_scenario("profile\nkind = zero")
