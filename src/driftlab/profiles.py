@@ -48,8 +48,25 @@ def _clamp_slope_ratio(ratio: float) -> float:
     return min(max(ratio, 0.0), 3.0)
 
 
+@dataclass(frozen=True)
+class Tail:
+    """phi = exp(-Psi) beyond the knot: "const" K, "power" K r^-p, "gamma" K exp(-p r^q)
+    with p, q > 0, or "log" K r^-p (log r)^-q.  log_K stays finite where K overflows."""
+
+    kind: str
+    knot: float
+    K: float
+    p: float = 0.0
+    q: float = 0.0
+    log_K: float = 0.0
+
+
 class DriftProfile:
-    """Base class; concrete variants implement psi and its cumulative integral."""
+    """Base class; a variant states psi, Psi = int_0^r psi and the far field that the
+    classifier and the weight integrals read: the growth limit L and the Tail of phi."""
+
+    # L = lim (1/log r) int_0^r psi, may be +-inf; None where samples cannot tell
+    growth_limit: float | None = None
 
     def psi(self, r):
         raise NotImplementedError
@@ -57,6 +74,18 @@ class DriftProfile:
     def psi_integral(self, r):
         """Cumulative integral int_0^r psi, in closed form."""
         raise NotImplementedError
+
+    def psi_plus_integral(self, r):
+        """Cumulative integral int_0^r max(psi, 0), in closed form."""
+        if self.nonnegative:
+            return self.psi_integral(r)
+        if self.nonpositive:
+            return _scalar_or_array(np.zeros_like(_as_array(r)), r)
+        raise NotImplementedError
+
+    def tail(self) -> Tail | None:
+        """Closed form of phi = exp(-Psi) beyond a knot, or None where there is none."""
+        return None
 
     @property
     def nonnegative(self) -> bool:
@@ -109,6 +138,32 @@ class PowerLaw(DriftProfile):
             g = self.exponent + 1.0
             out[far] = base + self.amplitude / g * (rr[far] ** g - self.r0**g)
         return _scalar_or_array(out, r)
+
+    @property
+    def growth_limit(self) -> float:
+        A, b = self.amplitude, self.exponent
+        if b > -1.0:
+            return math.copysign(math.inf, A) if A != 0 else 0.0
+        return A if b == -1.0 else 0.0
+
+    def tail(self) -> Tail | None:
+        knot, A = self.r0, self.amplitude
+        log_phi0 = -self.psi_integral(knot)
+        phi0 = math.exp(log_phi0)
+        if A == 0.0:
+            return Tail("const", knot, phi0, log_K=log_phi0)
+        if self.exponent == -1.0:
+            return Tail("power", knot, phi0 * knot**A, A, log_K=log_phi0 + A * math.log(knot))
+        g = self.exponent + 1.0
+        c = A / g
+        if c > 0 and g > 0:
+            # K = inf where e^{c r0^g} leaves the double range; log K stays finite
+            try:
+                K = phi0 * math.exp(c * knot**g)
+            except OverflowError:
+                K = math.inf
+            return Tail("gamma", knot, K, c, g, c * knot**g + log_phi0)
+        return None
 
     @property
     def nonnegative(self) -> bool:
@@ -168,9 +223,31 @@ class LogCorrected(DriftProfile):
         out[far] = base + self.n_dim * np.log(rf / self.r0) + self.alpha * np.log(np.log(rf) / L0)
         return _scalar_or_array(out, r)
 
+    def psi_plus_integral(self, r):
+        if self.nonnegative:
+            return self.psi_integral(r)
+        # psi <= 0 up to r* = e^{ls} > r0, ls = -alpha/n, and psi > 0 beyond it, where
+        # Psi(r) - Psi(r*) = n d + alpha log(1 + d/ls) with d = log r - ls
+        ls = -self.alpha / self.n_dim
+        d = np.maximum(np.log(np.maximum(_as_array(r), 1.0)) - ls, 0.0)
+        return _scalar_or_array(self.n_dim * d + self.alpha * np.log1p(d / ls), r)
+
+    @property
+    def growth_limit(self) -> float:
+        return float(self.n_dim)
+
+    def tail(self) -> Tail:
+        knot = self.r0
+        log_phi0 = -self.psi_integral(knot)
+        K = math.exp(log_phi0) * knot**self.n_dim * math.log(knot) ** self.alpha
+        log_K = log_phi0 + self.n_dim * math.log(knot) + self.alpha * math.log(math.log(knot))
+        return Tail("log", knot, K, float(self.n_dim), self.alpha, log_K)
+
     @property
     def nonnegative(self) -> bool:
-        return self.alpha >= 0
+        # for alpha < 0, n + alpha/log r is smallest at r0 on [r0, inf);
+        # the ramp takes the sign of psi(r0)
+        return self.n_dim + self.alpha / math.log(self.r0) >= 0
 
 
 @dataclass(frozen=True)
@@ -184,6 +261,11 @@ class Linear(DriftProfile):
     def psi_integral(self, r):
         rr = _as_array(r)
         return _scalar_or_array(0.5 * rr * rr, r)
+
+    growth_limit = math.inf
+
+    def tail(self) -> Tail:
+        return Tail("gamma", 0.0, 1.0, 0.5, 2.0)
 
     @property
     def nonnegative(self) -> bool:
@@ -201,6 +283,11 @@ class Zero(DriftProfile):
     def psi_integral(self, r):
         rr = _as_array(r)
         return _scalar_or_array(np.zeros_like(rr), r)
+
+    growth_limit = 0.0
+
+    def tail(self) -> Tail:
+        return Tail("const", 0.0, 1.0)
 
     @property
     def nonnegative(self) -> bool:
@@ -267,6 +354,21 @@ class Tabulated(DriftProfile):
         pr = np.interp(rr, radii, speeds)
         out = cum[k] + 0.5 * (speeds[k] + pr) * (rr - radii[k])
         return _scalar_or_array(out, r)
+
+    def psi_plus_integral(self, r):
+        if self.nonnegative or self.nonpositive:
+            return super().psi_plus_integral(r)
+        return self.positive_part().psi_integral(r)
+
+    @property
+    def growth_bounds(self) -> tuple[float, float] | None:
+        """(min, max) of (1/log r) int_0^r psi over the sample radii beyond max(1.5, r_last/4)."""
+        radii = np.array(self.radii)
+        mask = radii > max(1.5, 0.25 * radii[-1])
+        if not np.any(mask):
+            return None
+        g = self.psi_integral(radii[mask]) / np.log(radii[mask])
+        return (float(np.min(g)), float(np.max(g)))
 
     @property
     def nonnegative(self) -> bool:

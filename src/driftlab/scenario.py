@@ -30,7 +30,7 @@ from .grid import RadialField, RadialGrid
 from .oracles import GaussianData
 from .profiles import (DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero,
                        tabulated_samples)
-from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig
+from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig, operator_diagonals
 
 DEFAULT_R_MAX = 20.0
 DEFAULT_NUM_NODES = 2001
@@ -116,6 +116,19 @@ class Scenario:
             if r[0] > 0.0 or r[-1] < r_max * (1 - 1e-12):
                 raise ScenarioError(f"initial.samples: must cover [0, {r_max}], "
                                     f"got [{r[0]}, {r[-1]}]")
+        # A theta < 1/2 step is stable when dt (1 - 2 theta) |lambda| <= 2 for every
+        # eigenvalue lambda of the operator; Gershgorin bounds |lambda| by a row sum.
+        theta, dt = self.solver.theta, self.solver.dt
+        if theta < 0.5:
+            lo, d, up = operator_diagonals(self.grid, self.profile, self.solver.advection,
+                                           self.solver.outer_bc)
+            bound = (1.0 - 2.0 * theta) * float(np.max(np.abs(d) + np.abs(lo) + np.abs(up)))
+            if dt * bound > 2.0:
+                dt_max = float(f"{2.0 / bound:.4e}")
+                if dt_max * bound > 2.0:  # rounded up: state a dt that passes
+                    dt_max = float(f"{2.0 / bound * (1 - 1e-4):.4e}")
+                raise ScenarioError(f"solver.dt: theta = {theta:g} is unstable at dt = {dt:g}; "
+                                    f"the largest stable dt is {dt_max:.4e}")
 
     def initial_field(self) -> RadialField:
         return self.initial.field(self.grid)

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import RadialField, RadialGrid, quadrature_weights, unit_sphere_area
-from .profiles import DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero
+from .profiles import DriftProfile, Tail
 from .solver import Trajectory
 
 _CRITICAL_BAND = 1e-9
@@ -30,38 +30,18 @@ _CRITICAL_BAND = 1e-9
 PANELS_PER_UNIT = 10_000.0
 
 
-class _NoClosedForm(Exception):
-    pass
-
-
 class WeightFunction:
-    """phi(r) = exp(-Psi(r)) with Psi(r) = int_0^r psi (or psi_+) drho.
-
-    Closed forms are used for the analytic families (including their ramps);
-    the remaining case (positive part of a sign-changing profile) falls back
-    to a cached composite-trapezoid cumulative integral at PANELS_PER_UNIT
-    resolution.
-    """
+    """phi(r) = exp(-Psi(r)) with Psi(r) = int_0^r psi (or psi_+) drho, in closed form."""
 
     def __init__(self, profile: DriftProfile, positive_part: bool = False):
         self.profile = profile
         self.positive_part = bool(positive_part)
-        self._pos_tab = None
-        if self.positive_part and isinstance(profile, Tabulated) and not profile.nonnegative:
-            self._pos_tab = profile.positive_part()
-        self._cum_r = None
-        self._cum_vals = None
 
     def cumulative(self, r):
-        """Psi(r), vectorized; exact/closed-form wherever the family admits it."""
-        if not self.positive_part or self.profile.nonnegative:
-            return self.profile.psi_integral(r)
-        if self.profile.nonpositive:
-            out = np.zeros_like(np.asarray(r, dtype=float))
-            return out if np.ndim(r) else 0.0
-        if self._pos_tab is not None:
-            return self._pos_tab.psi_integral(r)
-        return self._numeric_cumulative(r)
+        """Psi(r), vectorized."""
+        if self.positive_part:
+            return self.profile.psi_plus_integral(r)
+        return self.profile.psi_integral(r)
 
     def phi(self, r):
         # np.exp rather than math.exp: a weight that grows past double range
@@ -70,21 +50,12 @@ class WeightFunction:
             out = np.exp(-np.asarray(self.cumulative(r), dtype=float))
         return out if np.ndim(r) else float(out)
 
-    def _numeric_cumulative(self, r):
-        rr = np.asarray(r, dtype=float)
-        r_need = float(np.max(rr)) if rr.size else 0.0
-        if self._cum_r is None or r_need > self._cum_r[-1]:
-            cap = 64.0
-            while cap < r_need:
-                cap *= 2.0
-            npts = int(min(cap * PANELS_PER_UNIT, 4e6)) + 1
-            grid = np.linspace(0.0, cap, npts)
-            g = np.maximum(np.asarray(self.profile.psi(grid), dtype=float), 0.0)
-            seg = 0.5 * (g[1:] + g[:-1]) * np.diff(grid)
-            self._cum_r = grid
-            self._cum_vals = np.concatenate(([0.0], np.cumsum(seg)))
-        out = np.interp(rr, self._cum_r, self._cum_vals)
-        return out if np.ndim(r) else float(out)
+    def tail(self) -> Tail | None:
+        """Closed form of phi beyond a knot, or None where there is none."""
+        p = self.profile
+        if self.positive_part and not p.nonnegative:
+            return Tail("const", 0.0, 1.0) if p.nonpositive else None
+        return p.tail()
 
 
 def mass_weights(w: WeightFunction, grid: RadialGrid, radius: float) -> np.ndarray:
@@ -109,51 +80,6 @@ def weighted_mass(u: RadialField, w: WeightFunction, radius: float) -> float:
 
 # ---------------------------------------------------------------------------
 # radial integrals of the weight
-
-
-def _family(w: WeightFunction):
-    """Far-field form of phi beyond the ramp knot, for closed-form integrals.
-
-    Returns one of
-        ("const", knot, K)               phi = K
-        ("power", knot, K, A)            phi = K r^-A
-        ("gamma", knot, K, c, g, log K)  phi = K exp(-c r^g), c > 0, g > 0
-        ("log",   knot, K, m, a)         phi = K r^-m (log r)^-a
-    or None when no closed form applies.
-    """
-    p = w.profile
-    if w.positive_part and not p.nonnegative:
-        if p.nonpositive:
-            return ("const", 0.0, 1.0)
-        return None
-    if isinstance(p, Zero):
-        return ("const", 0.0, 1.0)
-    if isinstance(p, Linear):
-        return ("gamma", 0.0, 1.0, 0.5, 2.0, 0.0)
-    if isinstance(p, PowerLaw):
-        knot = p.r0
-        phi0 = math.exp(-p.psi_integral(knot))
-        A, b = p.amplitude, p.exponent
-        if A == 0.0:
-            return ("const", knot, phi0)
-        if b == -1.0:
-            return ("power", knot, phi0 * knot**A, A)
-        g = b + 1.0
-        c = A / g
-        if c > 0 and g > 0:
-            # K = inf where e^{c r0^g} leaves the double range; log K stays finite
-            try:
-                K = phi0 * math.exp(c * knot**g)
-            except OverflowError:
-                K = math.inf
-            return ("gamma", knot, K, c, g, c * knot**g - p.psi_integral(knot))
-        return None
-    if isinstance(p, LogCorrected):
-        knot = p.r0
-        phi0 = math.exp(-p.psi_integral(knot))
-        K = phi0 * knot**p.n_dim * math.log(knot) ** p.alpha
-        return ("log", knot, K, float(p.n_dim), p.alpha)
-    return None
 
 
 def upper_gamma(s: float, x: float) -> float:
@@ -221,21 +147,20 @@ def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
     return False, h
 
 
-def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
-    """int_a^b phi r^{n-1} dr for the far-field family; b may be math.inf.
+def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
+    """int_a^b phi r^{n-1} dr beyond the tail's knot; b may be math.inf.
 
-    Raises ValueError when the integral diverges and _NoClosedForm when the
-    family has no elementary antiderivative for this dimension.
+    Raises ValueError when the integral diverges; None when the tail has no
+    elementary antiderivative in this dimension.
     """
     n = float(n_dim)
-    kind, _, K = fam[0], fam[1], fam[2]
+    kind, K = tail.kind, tail.K
     if kind == "const":
         if math.isinf(b):
             raise ValueError("weight mass integral diverges")
         return K * (b**n - a**n) / n
     if kind == "power":
-        A = fam[3]
-        e = n - A
+        e = n - tail.p
         if abs(e) < 1e-300:
             if math.isinf(b):
                 raise ValueError("weight mass integral diverges")
@@ -246,7 +171,7 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
             return -K * a**e / e
         return K * (b**e - a**e) / e
     if kind == "gamma":
-        c, g = fam[3], fam[4]
+        c, g = tail.p, tail.q
         s = n / g
         hi = 0.0 if math.isinf(b) else upper_gamma(s, c * b**g)
         lo = upper_gamma(s, c * a**g)
@@ -254,16 +179,16 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
         if math.isfinite(out):
             return out
         # K, Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
-        log_k = fam[5] - math.log(g) - s * math.log(c)
+        log_k = tail.log_K - math.log(g) - s * math.log(c)
         try:
             hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, c * b**g))
             return math.exp(log_k + _log_upper_gamma(s, c * a**g)) - hi
         except OverflowError:
             return math.inf
     if kind == "log":
-        m, alpha = fam[3], fam[4]
-        if abs(n - m) > 1e-12:
-            raise _NoClosedForm
+        alpha = tail.q
+        if abs(n - tail.p) > 1e-12:
+            return None
         la = math.log(a)
         if alpha == 1.0:
             if math.isinf(b):
@@ -275,7 +200,7 @@ def _far_integral(fam, n_dim: int, a: float, b: float) -> float:
                 raise ValueError("weight mass integral diverges")
             return -K * la**e / e
         return K * (math.log(b) ** e - la**e) / e
-    raise AssertionError(f"unknown family {kind}")
+    raise AssertionError(f"unknown tail {kind}")
 
 
 def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float:
@@ -298,19 +223,15 @@ def phi_radial_integral(w: WeightFunction, n_dim: int, upper: float, lower: floa
     """
     if lower < 0 or (not math.isinf(upper) and upper < lower):
         raise ValueError(f"bad integration bounds [{lower}, {upper}]")
-    fam = _family(w)
-    if fam is None:
-        return _numeric_segment(w, n_dim, lower, upper)
-    knot = fam[1]
+    tail = w.tail()
+    knot = math.inf if tail is None else tail.knot
     total = 0.0
     if lower < knot:
         total += _numeric_segment(w, n_dim, lower, min(upper, knot))
     if upper > knot:
         a = max(lower, knot)
-        try:
-            total += _far_integral(fam, n_dim, a, upper)
-        except _NoClosedForm:
-            total += _numeric_segment(w, n_dim, a, upper)
+        far = _far_integral(tail, n_dim, a, upper)
+        total += _numeric_segment(w, n_dim, a, upper) if far is None else far
     return total
 
 
@@ -365,26 +286,6 @@ class ClassificationResult:
             raise ValueError("lift-off verdict requires a finite weight mass")
 
 
-def _growth_limit(profile: DriftProfile, positive_part: bool) -> float:
-    """lim (1/log r) int_0^r psi (psi_+ when positive_part), per family."""
-    if isinstance(profile, Zero):
-        return 0.0
-    if isinstance(profile, Linear):
-        return math.inf
-    if isinstance(profile, PowerLaw):
-        A, b = profile.amplitude, profile.exponent
-        if positive_part and A <= 0:
-            return 0.0
-        if b > -1.0:
-            return math.copysign(math.inf, A) if A != 0 else 0.0
-        if b == -1.0:
-            return A
-        return 0.0
-    if isinstance(profile, LogCorrected):
-        return float(profile.n_dim)
-    raise TypeError(f"no analytic growth limit for {type(profile).__name__}")
-
-
 def _phi_mass_finite(w: WeightFunction, n_dim: int) -> tuple[float, str]:
     """Weight mass over R^n when it is known to converge."""
     area = unit_sphere_area(n_dim)
@@ -408,34 +309,30 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
         raise ValueError(f"dimension must be >= 1, got {n_dim}")
     n = float(n_dim)
 
-    if isinstance(profile, Tabulated):
-        radii = np.array(profile.radii)
-        mask = radii > max(1.5, 0.25 * radii[-1])
-        bounds = None
-        if np.any(mask):
-            g = profile.psi_integral(radii[mask]) / np.log(radii[mask])
-            bounds = (float(np.min(g)), float(np.max(g)))
+    L = profile.growth_limit
+    if L is None:  # only a sampled profile leaves its growth open
         return ClassificationResult(
             Verdict.UNDETERMINED,
             growth_limit=None,
             phi_mass=None,
             note="tabulated profile: averaged growth undetermined at r->infinity; "
-            f"sampled range ends at r={radii[-1]:g}",
-            growth_bounds=bounds,
+            f"sampled range ends at r={profile.radii[-1]:g}",
+            growth_bounds=profile.growth_bounds,
         )
 
-    L = _growth_limit(profile, positive_part=False)
-    L_plus = _growth_limit(profile, positive_part=True)
+    L_plus = 0.0 if profile.nonpositive else L
     w = WeightFunction(profile)
 
     if math.isfinite(L) and abs(L - n) <= _CRITICAL_BAND and abs(L_plus - n) <= _CRITICAL_BAND:
         # critical line: decided by integrability of phi(r) r^{n-1}, symbolically
-        if isinstance(profile, LogCorrected):
-            finite = profile.alpha > 1.0
-            why = f"log-corrected alpha={profile.alpha:g} {'>' if finite else '<='} 1"
-        elif isinstance(profile, PowerLaw):
-            finite = profile.amplitude > n
-            why = f"phi ~ r^-{profile.amplitude:g} against dimension {n_dim}"
+        tail = profile.tail()
+        kind = tail.kind if tail else None
+        if kind == "log":
+            finite = tail.q > 1.0
+            why = f"log-corrected alpha={tail.q:g} {'>' if finite else '<='} 1"
+        elif kind == "power":
+            finite = tail.p > n
+            why = f"phi ~ r^-{tail.p:g} against dimension {n_dim}"
         else:
             return ClassificationResult(
                 Verdict.UNDETERMINED, L, None,

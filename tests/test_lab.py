@@ -624,7 +624,7 @@ def test_cli_runs_without_scipy_linalg_or_special(tmp_path):
         "from driftlab import cli\n"
         f"assert cli.main(['classify', {str(oracle)!r}, '--quiet']) == 0\n"
         f"assert cli.main(['simulate', {cfg!r}, '--quiet']) == 0\n"
-        "print(sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules)))\n"
+        "print(sorted({'scipy.linalg', 'scipy.special', 'sympy', 'mpmath'} & set(sys.modules)))\n"
         # scipy.linalg imported afterwards shares the already loaded LAPACK extension
         "from scipy.linalg.lapack import dgttrs\n"
         "from driftlab import solver\n"

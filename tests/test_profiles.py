@@ -148,6 +148,15 @@ def test_logcorrected_requires_r0_beyond_one():
         LogCorrected(n_dim=2, alpha=1.0, r0=1.0)
 
 
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-6.0, -1.0, -0.5, 0.0, 2.0])
+@pytest.mark.parametrize("r0", [1.5, math.e])
+def test_logcorrected_nonnegative_flag_is_exact(n_dim, alpha, r0):
+    p = LogCorrected(n_dim=n_dim, alpha=alpha, r0=r0)
+    r = np.concatenate([np.linspace(0.0, 200.0, 200_001), [r0]])
+    assert p.nonnegative is bool(np.min(p.psi(r)) >= 0)
+
+
 def test_vectorized_matches_scalar():
     p = PowerLaw(2.0, -1.0, 1.0)
     rs = np.array([0.0, 0.4, 1.0, 2.5])

@@ -1,10 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftlab import lab
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.scenario import ScenarioError, TabulatedInitial, apply_parameter, parse_scenario
@@ -326,3 +328,34 @@ def test_swept_scenarios_pass_the_parser_checks():
 def test_linear_profile_kind():
     s = parse_scenario(MINIMAL.replace("kind = zero", "kind = linear"))
     assert isinstance(s.profile, Linear)
+
+
+EXPLICIT_LINEAR = """
+[profile]
+kind = linear
+
+[domain]
+n = 2
+r_max = 5
+num_nodes = 201
+
+[initial]
+kind = gaussian
+sigma = 1
+
+[solver]
+theta = 0
+dt = 1e-3
+"""
+
+
+def test_unstable_theta_scheme_is_rejected_before_any_step():
+    # the origin row's Gershgorin sum 4n/h^2 = 12800 bounds |lambda|: dt <= 2/12800
+    with pytest.raises(ScenarioError, match=r"^solver\.dt: theta = 0 is unstable at dt = 0\.001; "
+                                            r"the largest stable dt is 1\.5625e-04$"):
+        parse_scenario(EXPLICIT_LINEAR)
+    stable = parse_scenario(EXPLICIT_LINEAR.replace("dt = 1e-3", "dt = 1.5e-4"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lab.run(stable)
+    assert report.invariants["positivity"]

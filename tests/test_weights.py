@@ -71,12 +71,12 @@ def test_positive_part_of_nonpositive_profile_is_unit_weight():
 
 
 def test_positive_part_cumulative_against_quadrature():
-    # sign-changing log-corrected profile exercises the numeric cumulative path
-    p = LogCorrected(n_dim=2, alpha=-6.0, r0=1.5)
-    w = WeightFunction(p, positive_part=True)
-    for r in (0.5, 2.0, 7.0, 20.0):
-        expected, _ = quad(lambda s: max(p.psi(s), 0.0), 0.0, r, limit=300)
-        assert w.cumulative(r) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+    # sign-changing (psi > 0 only past r* = e^3) and nonnegative (psi(r0) = 0) log-corrected
+    for p in (LogCorrected(n_dim=2, alpha=-6.0, r0=1.5), LogCorrected(n_dim=2, alpha=-1.0)):
+        w = WeightFunction(p, positive_part=True)
+        for r in (0.5, 2.0, 7.0, 20.0, 40.0):
+            expected, _ = quad(lambda s: max(p.psi(s), 0.0), 0.0, r, limit=300)
+            assert w.cumulative(r) == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 def test_tabulated_positive_part_cumulative_is_exact():
@@ -167,6 +167,24 @@ def test_classifier_growth_limits():
     assert classify(PowerLaw(5.0, -2.0, 1.0), 3).growth_limit == 0.0
     assert classify(LogCorrected(n_dim=2, alpha=0.5), 2).growth_limit == 2.0
     assert classify(Zero(), 2).growth_limit == 0.0
+    assert classify(PowerLaw(-4.0, 1.0, 1.0), 2).growth_limit == -math.inf
+    assert classify(PowerLaw(0.0, 1.0, 1.0), 2).growth_limit == 0.0
+    assert classify(PowerLaw(2.0, -1.5, 1.0), 2).growth_limit == 0.0
+    assert classify(Linear(), 2).growth_limit == math.inf
+    assert classify(LogCorrected(n_dim=3, alpha=2.0), 2).growth_limit == 3.0
+
+
+@pytest.mark.parametrize("profile,note", [
+    (PowerLaw(2.0, -1.0, 1.0), "critical growth L = n = 2; weight mass diverges "
+                               "(phi ~ r^-2 against dimension 2)"),
+    (LogCorrected(n_dim=2, alpha=1.0), "critical growth L = n = 2; weight mass diverges "
+                                       "(log-corrected alpha=1 <= 1)"),
+    (LogCorrected(n_dim=2, alpha=2.0), "critical growth L = n = 2; weight mass finite "
+                                       "(log-corrected alpha=2 > 1)"),
+], ids=["power", "log-alpha-1", "log-alpha-2"])
+def test_critical_line_notes(profile, note):
+    # report.json carries the note as classifier_note
+    assert classify(profile, 2).note == note
 
 
 def test_classifier_tabulated_is_undetermined():
