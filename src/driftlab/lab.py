@@ -124,9 +124,10 @@ class RunReport:
 def field_measures(values: np.ndarray) -> dict:
     """Violation of each discrete guarantee by a (frames x nodes) block whose row 0 is u0.
 
-    positivity: -min u / max|u0|, inf once the center is <= 0 after t = 0; max_principle:
-    excursion outside [min u0, max u0]; radial_monotonicity: largest radial increment;
-    both / max(1, max|u0|).  No temporary of the block's size.
+    positivity: -min u / max|u0|, inf once a frame after t = 0 has no positive value (a zero
+    center alone is none: a datum positive far out reaches it below the double range);
+    max_principle: excursion outside [min u0, max u0]; radial_monotonicity: largest radial
+    increment; both / max(1, max|u0|).  No temporary of the block's size.
     """
     v0 = values[0]
     amp = float(np.max(np.abs(v0)))
@@ -134,7 +135,8 @@ def field_measures(values: np.ndarray) -> dict:
     vmin, vmax = float(values.min()), float(values.max())
     scale = max(1.0, amp)
     return {
-        "positivity": math.inf if np.any(values[1:, 0] <= 0) else -vmin / (amp or 1.0),
+        "positivity": (math.inf if np.any(values[1:].max(axis=1) <= 0)
+                       else -vmin / (amp or 1.0)),
         "max_principle": max(lo - vmin, vmax - hi) / scale,
         "radial_monotonicity": max(float(np.diff(row).max()) for row in values) / scale,
     }
@@ -147,7 +149,7 @@ def series_measures(series: DiagnosticSeries) -> dict:
     increase of I_R relative to |I_R|; sup_rise: of sup u; sup_fraction: min sup u / |sup u0|.
     """
     iw, sup = series.weighted_mass, series.sup
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return {
             "weighted_mass_drift": float(np.max(np.abs(iw - iw[0])) / abs(iw[0])),
             "weighted_mass_rise": float(np.max((iw[1:] - iw[:-1]) / np.abs(iw[:-1]),

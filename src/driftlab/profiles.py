@@ -50,8 +50,9 @@ def _clamp_slope_ratio(ratio: float) -> float:
 
 @dataclass(frozen=True)
 class Tail:
-    """phi = exp(-Psi) beyond the knot: "const" K, "power" K r^-p, "gamma" K exp(-p r^q)
-    with p, q > 0, or "log" K r^-p (log r)^-q.  log_K stays finite where K overflows."""
+    """phi = exp(-Psi) beyond the knot: "power" K r^-p (the constant K at p = 0),
+    "gamma" K exp(-p r^q) with p, q > 0, or "log" K r^-p (log r)^-q.  log_K stays
+    finite where K overflows."""
 
     kind: str
     knot: float
@@ -150,13 +151,11 @@ class PowerLaw(DriftProfile):
         knot, A = self.r0, self.amplitude
         log_phi0 = -self.psi_integral(knot)
         phi0 = math.exp(log_phi0)
-        if A == 0.0:
-            return Tail("const", knot, phi0, log_K=log_phi0)
-        if self.exponent == -1.0:
+        if A == 0.0 or self.exponent == -1.0:
             return Tail("power", knot, phi0 * knot**A, A, log_K=log_phi0 + A * math.log(knot))
         g = self.exponent + 1.0
-        c = A / g
-        if c > 0 and g > 0:
+        if A > 0 and g > 0:
+            c = max(A / g, math.ulp(0.0))  # A/g, or the least double where that underflows
             # K = inf where e^{c r0^g} leaves the double range; log K stays finite
             try:
                 K = phi0 * math.exp(c * knot**g)
@@ -287,7 +286,7 @@ class Zero(DriftProfile):
     growth_limit = 0.0
 
     def tail(self) -> Tail:
-        return Tail("const", 0.0, 1.0)
+        return Tail("power", 0.0, 1.0)
 
     @property
     def nonnegative(self) -> bool:

@@ -30,7 +30,7 @@ from .grid import RadialField, RadialGrid
 from .oracles import GaussianData
 from .profiles import (DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero,
                        tabulated_samples)
-from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig, operator_diagonals
+from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig, operator_diagonals, step_plan
 
 DEFAULT_R_MAX = 20.0
 DEFAULT_NUM_NODES = 2001
@@ -40,6 +40,7 @@ DEFAULT_ADVECTION = "centered"
 DEFAULT_OUTER_BC = "dirichlet_frozen"
 DEFAULT_SNAPSHOT_STRIDE = 100
 DEFAULT_T_END = 1.0
+FRAME_STORE_BUDGET = 2**30  # bytes of the (frames x nodes) block a solve may allocate
 
 _SECTIONS = {
     "profile": {"kind", "a", "beta", "alpha", "r0", "samples"},
@@ -99,6 +100,15 @@ class Scenario:
                                 f"got n = {self.n_dim}; use upwind")
         if self.t_end < 0:
             raise ScenarioError(f"run.t_end: must be non-negative, got {self.t_end}")
+        try:
+            rows = step_plan(self.solver, self.t_end)[2]
+        except OverflowError:  # t_end / dt beyond the double range
+            rows = math.inf
+        nodes = self.grid.num_nodes
+        if rows * nodes * 8 > FRAME_STORE_BUDGET:
+            raise ScenarioError(f"solver.snapshot_stride: {rows} frames x {nodes} nodes x 8 B = "
+                                f"{rows * nodes * 8} B exceed the frame store budget "
+                                f"{FRAME_STORE_BUDGET} B")
         r_max = self.grid.r_max
         if not 0 < self.diag_radius <= r_max * (1 + 1e-12):
             raise ScenarioError(

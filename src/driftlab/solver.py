@@ -216,6 +216,24 @@ def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialF
     return solve(u, profile, config, config.dt).final
 
 
+def step_plan(config: SolverConfig, t_end: float) -> tuple[int, float, int]:
+    """(full steps of dt, shortened final step or 0, snapshot rows) of a solve to t_end >= 0;
+    the rows are the frames at t = 0, every snapshot_stride steps before t_end, and t_end."""
+    if t_end == 0:
+        return 0, 0.0, 1
+    dt = config.dt
+    ratio = t_end / dt
+    n_full = int(np.floor(ratio))
+    if ratio - n_full > 1 - 1e-9:  # integer step count up to roundoff
+        n_full += 1
+    remainder = t_end - n_full * dt
+    if remainder <= dt * 1e-9:
+        remainder = 0.0
+    # last step whose state can be a stride snapshot; the state after it is the t_end frame
+    last = n_full if remainder > 0.0 else n_full - 1
+    return n_full, remainder, 2 + max(last, 0) // config.snapshot_stride
+
+
 def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: float) -> Trajectory:
     """Repeated stepping with snapshots every snapshot_stride steps.
 
@@ -229,20 +247,10 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     if t_end == 0:
         return Trajectory(grid, [0.0], u0.values[None, :], profile, config)
 
-    dt = config.dt
-    ratio = t_end / dt
-    n_full = int(np.floor(ratio))
-    if ratio - n_full > 1 - 1e-9:  # integer step count up to roundoff
-        n_full += 1
-    remainder = t_end - n_full * dt
-    if remainder <= dt * 1e-9:
-        remainder = 0.0
-
-    stride = config.snapshot_stride
-    # last step whose state can be a stride snapshot; the state after it is the t_end frame
-    last = n_full if remainder > 0.0 else n_full - 1
-    times = np.empty(2 + max(last, 0) // stride)
-    values = np.empty((times.size, grid.num_nodes))
+    dt, stride = config.dt, config.snapshot_stride
+    n_full, remainder, rows = step_plan(config, t_end)
+    times = np.empty(rows)
+    values = np.empty((rows, grid.num_nodes))
     times[0], values[0] = 0.0, u0.values
     stepper = _ThetaStepper(grid, profile, config, dt)
     good_k, good_v = 0, u0.values
@@ -254,7 +262,7 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
                 k = _first_bad_step(stepper, good_v, good_k, k)
                 raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
             good_k, good_v = k, v
-            if k % stride == 0 and k <= last:
+            if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
                 times[k // stride], values[k // stride] = k * dt, v
     if remainder > 0.0:
         v = _ThetaStepper(grid, profile, config, remainder).advance(v)

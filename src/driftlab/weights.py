@@ -54,7 +54,7 @@ class WeightFunction:
         """Closed form of phi beyond a knot, or None where there is none."""
         p = self.profile
         if self.positive_part and not p.nonnegative:
-            return Tail("const", 0.0, 1.0) if p.nonpositive else None
+            return Tail("power", 0.0, 1.0) if p.nonpositive else None
         return p.tail()
 
 
@@ -83,11 +83,12 @@ def weighted_mass(u: RadialField, w: WeightFunction, radius: float) -> float:
 
 
 def upper_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma function Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, s > 0, x >= 0.
+    """Upper incomplete gamma function Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, for
+    s > 0 and x >= 0, or s <= 0 and x > 0.
 
-    Below x = max(s, 1) it is Gamma(s) minus the series of the lower function,
+    For s > 0 below x = max(s, 1) it is Gamma(s) minus the series of the lower function,
         gamma(s, x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k));
-    from there on the continued fraction
+    from there on, and for every s <= 0, the continued fraction (DLMF 8.9.2)
         Gamma(s, x) = x^s e^{-x} / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...)))
     is evaluated by the modified Lentz method.  The split keeps the
     subtraction away from x > s, where Gamma(s, x) << Gamma(s).  Returns inf
@@ -121,10 +122,10 @@ def _log_upper_gamma(s: float, x: float) -> float:
 
 
 def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
-    """(True, series t) below x = max(s, 1), where Gamma(s, x) = Gamma(s) - x^s e^{-x} t,
+    """(True, series t) for s > 0 below x = max(s, 1), where Gamma(s, x) = Gamma(s) - x^s e^{-x} t,
     else (False, continued fraction t), where Gamma(s, x) = x^s e^{-x} t; x > 0."""
     eps, tiny = 2.0**-53, 1e-300
-    if x < 1.0 or x < s:
+    if s > 0.0 and (x < 1.0 or x < s):
         a, term, total = s, 1.0 / s, 1.0 / s
         while term > eps * total:
             a += 1.0
@@ -147,35 +148,35 @@ def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
     return False, h
 
 
+def _monomial_integral(K: float, e: float, a: float, b: float) -> float:
+    """K int_a^b x^{e-1} dx, b may be math.inf; ValueError where that diverges."""
+    if abs(e) < 1e-300:
+        if math.isinf(b):
+            raise ValueError("weight mass integral diverges")
+        return K * math.log(b / a)
+    if math.isinf(b):
+        if e > 0:
+            raise ValueError("weight mass integral diverges")
+        return -K * a**e / e
+    return K * (b**e - a**e) / e
+
+
 def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
     """int_a^b phi r^{n-1} dr beyond the tail's knot; b may be math.inf.
 
-    Raises ValueError when the integral diverges; None when the tail has no
-    elementary antiderivative in this dimension.
+    Raises ValueError when the integral diverges; None for a growing log tail
+    (p < n) with finite b, the one case without a closed form.
     """
     n = float(n_dim)
     kind, K = tail.kind, tail.K
-    if kind == "const":
-        if math.isinf(b):
-            raise ValueError("weight mass integral diverges")
-        return K * (b**n - a**n) / n
     if kind == "power":
-        e = n - tail.p
-        if abs(e) < 1e-300:
-            if math.isinf(b):
-                raise ValueError("weight mass integral diverges")
-            return K * math.log(b / a)
-        if math.isinf(b):
-            if e > 0:
-                raise ValueError("weight mass integral diverges")
-            return -K * a**e / e
-        return K * (b**e - a**e) / e
+        return _monomial_integral(K, n - tail.p, a, b)
     if kind == "gamma":
         c, g = tail.p, tail.q
         s = n / g
         hi = 0.0 if math.isinf(b) else upper_gamma(s, c * b**g)
         lo = upper_gamma(s, c * a**g)
-        out = K / g * c**(-s) * (lo - hi)
+        out = K / g * c**(-s) * (lo - hi) if -s * math.log(c) < 700.0 else math.inf
         if math.isfinite(out):
             return out
         # K, Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
@@ -186,20 +187,16 @@ def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
         except OverflowError:
             return math.inf
     if kind == "log":
-        alpha = tail.q
-        if abs(n - tail.p) > 1e-12:
-            return None
-        la = math.log(a)
-        if alpha == 1.0:
+        # t = c log r, c = p - n: K c^{alpha-1} int t^-alpha e^-t dt; at c = 0, K int t^-alpha dt
+        alpha, c = tail.q, tail.p - n
+        if c == 0.0:
+            return _monomial_integral(K, 1.0 - alpha, math.log(a), math.log(b))
+        if c < 0.0:
             if math.isinf(b):
                 raise ValueError("weight mass integral diverges")
-            return K * (math.log(math.log(b)) - math.log(la))
-        e = 1.0 - alpha
-        if math.isinf(b):
-            if e > 0:
-                raise ValueError("weight mass integral diverges")
-            return -K * la**e / e
-        return K * (math.log(b) ** e - la**e) / e
+            return None
+        hi = 0.0 if math.isinf(b) else upper_gamma(1.0 - alpha, c * math.log(b))
+        return K * c ** (alpha - 1.0) * (upper_gamma(1.0 - alpha, c * math.log(a)) - hi)
     raise AssertionError(f"unknown tail {kind}")
 
 
@@ -218,8 +215,8 @@ def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float
 def phi_radial_integral(w: WeightFunction, n_dim: int, upper: float, lower: float = 0.0) -> float:
     """int_lower^upper phi(r) r^{n-1} dr (no unit-sphere factor).
 
-    upper may be math.inf when the family admits a convergent closed form;
-    otherwise a ValueError reports divergence or the missing closed form.
+    upper may be math.inf: every tail has a closed form there, and a
+    ValueError reports divergence (or a weight with no tail at all).
     """
     if lower < 0 or (not math.isinf(upper) and upper < lower):
         raise ValueError(f"bad integration bounds [{lower}, {upper}]")
@@ -270,7 +267,7 @@ class ClassificationResult:
     growth_limit is the averaged growth L (may be +-inf); it is None for
     tabulated profiles, which instead carry numeric (liminf, limsup) bounds
     over the sampled range.  phi_mass is int_{R^n} phi(|x|) dx, math.inf when
-    divergent, None when undetermined.
+    divergent or beyond the double range, None when undetermined.
     """
 
     verdict: Verdict
@@ -280,23 +277,9 @@ class ClassificationResult:
     growth_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.verdict.lifts_off and not (
-            self.phi_mass is not None and math.isfinite(self.phi_mass)
-        ):
-            raise ValueError("lift-off verdict requires a finite weight mass")
-
-
-def _phi_mass_finite(w: WeightFunction, n_dim: int) -> tuple[float, str]:
-    """Weight mass over R^n when it is known to converge."""
-    area = unit_sphere_area(n_dim)
-    try:
-        return area * phi_radial_integral(w, n_dim, math.inf), ""
-    except ValueError:
-        total, r_hi = 0.0, 0.0
-        for r_next in (2.0**k for k in range(4, 17)):
-            total += phi_radial_integral(w, n_dim, r_next, lower=r_hi)
-            r_hi = r_next
-        return area * total, f"; mass integrated numerically up to r={r_hi:g}"
+        # a convergent weight mass may still exceed the double range: inf, not NaN
+        if self.verdict.lifts_off and not (self.phi_mass is not None and self.phi_mass > 0):
+            raise ValueError("lift-off verdict requires a positive weight mass")
 
 
 def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
@@ -321,39 +304,36 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
         )
 
     L_plus = 0.0 if profile.nonpositive else L
-    w = WeightFunction(profile)
-
-    if math.isfinite(L) and abs(L - n) <= _CRITICAL_BAND and abs(L_plus - n) <= _CRITICAL_BAND:
-        # critical line: decided by integrability of phi(r) r^{n-1}, symbolically
+    critical = (math.isfinite(L) and abs(L - n) <= _CRITICAL_BAND
+                and abs(L_plus - n) <= _CRITICAL_BAND)
+    if critical or L > n:
         tail = profile.tail()
-        kind = tail.kind if tail else None
-        if kind == "log":
-            finite = tail.q > 1.0
-            why = f"log-corrected alpha={tail.q:g} {'>' if finite else '<='} 1"
-        elif kind == "power":
-            finite = tail.p > n
-            why = f"phi ~ r^-{tail.p:g} against dimension {n_dim}"
-        else:
+        if critical and tail is None:
             return ClassificationResult(
                 Verdict.UNDETERMINED, L, None,
                 note="critical growth with no symbolic integrability reduction",
             )
-        if finite:
-            mass, extra = _phi_mass_finite(w, n_dim)
+        w = WeightFunction(profile)
+        try:
+            mass = unit_sphere_area(n_dim) * phi_radial_integral(w, n_dim, math.inf)
+        except ValueError:  # the closed-form weight-mass integral diverges
+            mass = None
+        extra = "; weight mass exceeds the double range" if mass == math.inf else ""
+        if not critical:
             return ClassificationResult(
-                Verdict.CRITICAL_LIFT_OFF, L, mass,
-                note=f"critical growth L = n = {n:g}; weight mass finite ({why}){extra}",
+                Verdict.LIFT_OFF, L, mass,
+                note=f"averaged growth {L:g} exceeds dimension {n_dim}{extra}",
             )
+        finite = mass is not None
+        if tail.kind == "log":
+            why = f"log-corrected alpha={tail.q:g} {'>' if finite else '<='} 1"
+        else:
+            why = f"phi ~ r^-{tail.p:g} against dimension {n_dim}"
         return ClassificationResult(
-            Verdict.CRITICAL_DECAY, L, math.inf,
-            note=f"critical growth L = n = {n:g}; weight mass diverges ({why})",
-        )
-
-    if L > n:
-        mass, extra = _phi_mass_finite(w, n_dim)
-        return ClassificationResult(
-            Verdict.LIFT_OFF, L, mass,
-            note=f"averaged growth {L:g} exceeds dimension {n_dim}{extra}",
+            Verdict.CRITICAL_LIFT_OFF if finite else Verdict.CRITICAL_DECAY, L,
+            mass if finite else math.inf,
+            note=f"critical growth L = n = {n:g}; weight mass "
+            f"{'finite' if finite else 'diverges'} ({why}){extra}",
         )
     if L_plus < n:
         return ClassificationResult(

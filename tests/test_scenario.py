@@ -1,10 +1,13 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftlab import lab
 from driftlab.oracles import GaussianData
@@ -359,3 +362,94 @@ def test_unstable_theta_scheme_is_rejected_before_any_step():
         warnings.simplefilter("error")
         report = lab.run(stable)
     assert report.invariants["positivity"]
+
+
+def _sample_list(draw, r_max, values, first):
+    """'0.0:v0, r1:v1, ..., r_max:vk' on strictly increasing radii; v0 from first."""
+    inner = sorted(set(draw(st.lists(st.floats(0.05, 0.95), max_size=4))))
+    radii = [0.0] + [round(x * r_max, 6) for x in inner] + [r_max]
+    radii = [r for k, r in enumerate(radii) if k == 0 or r > radii[k - 1]]
+    return ", ".join(f"{r!r}:{draw(first if k == 0 else values)!r}" for k, r in enumerate(radii))
+
+
+@st.composite
+def documents(draw):
+    """Small scenario documents over every profile kind, n 1-8, both schemes and boundaries."""
+    n = draw(st.integers(1, 8))
+    r_max = draw(st.sampled_from([2.0, 5.0, 10.0, 20.0, 40.0]))
+    kind = draw(st.sampled_from(["powerlaw", "logcorrected", "linear", "zero", "tabulated"]))
+    profile = f"kind = {kind}\n"
+    if kind == "powerlaw":
+        profile += (f"A = {draw(st.floats(-4, 4))!r}\nbeta = {draw(st.floats(-2.5, 1.5))!r}\n"
+                    f"r0 = {draw(st.floats(0.25, 3))!r}\n")
+    elif kind == "logcorrected":
+        profile += f"alpha = {draw(st.floats(-8, 8))!r}\nr0 = {draw(st.floats(1.05, 4))!r}\n"
+    elif kind == "tabulated":
+        profile += f"samples = {_sample_list(draw, r_max, st.floats(-3, 3), st.just(0.0))}\n"
+    if draw(st.booleans()):
+        initial = f"kind = gaussian\nsigma = {draw(st.floats(0.1, 5))!r}\n"
+    else:
+        values = st.floats(-1, 2)
+        initial = f"kind = tabulated\nsamples = {_sample_list(draw, r_max, values, values)}\n"
+    theta, advection = draw(st.sampled_from([(1.0, "upwind"), (0.5, "centered")]))
+    dt = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    steps = draw(st.integers(1, 400))
+    return (f"[profile]\n{profile}\n"
+            f"[domain]\nn = {n}\nr_max = {r_max!r}\nnum_nodes = {draw(st.integers(11, 201))}\n\n"
+            f"[initial]\n{initial}\n"
+            f"[solver]\ndt = {dt!r}\ntheta = {theta!r}\nadvection = {advection}\n"
+            f"outer_bc = {draw(st.sampled_from(['dirichlet_frozen', 'neumann']))}\n"
+            f"snapshot_stride = {draw(st.integers(1, 50))}\n\n"
+            f"[run]\nt_end = {steps * dt!r}\n")
+
+
+OVERFLOWING_MASS = MINIMAL.replace(
+    "kind = zero", "kind = powerlaw\nA = 0.5\nbeta = -0.999").replace(
+    "n = 2", "n = 2\nr_max = 10\nnum_nodes = 201") + "\n[run]\nt_end = 0.2\n"
+# c = A/(beta+1) with c^-s past the double range, and c itself below it
+TINY_AMPLITUDES = [OVERFLOWING_MASS.replace("A = 0.5\nbeta = -0.999", f"A = {a}\nbeta = {b}")
+                   for a, b in (("1e-300", "0"), ("5e-324", "1.2"))]
+# certified run whose datum is positive only at the outer node: the center underflows to 0
+FAR_DATUM = MINIMAL.replace("n = 2", "n = 1\nr_max = 40\nnum_nodes = 201").replace(
+    "kind = gaussian\nsigma = 1", "kind = tabulated\nsamples = 0:0, 39.8:0, 40:1") + (
+    "\n[solver]\ntheta = 1\nadvection = upwind\nsnapshot_stride = 1\n\n[run]\nt_end = 0.004\n")
+
+
+@settings(max_examples=900, deadline=None, derandomize=True)
+@given(documents())
+@example(EXPLICIT_LINEAR)
+@example(OVERFLOWING_MASS)
+@example(TINY_AMPLITUDES[0])
+@example(TINY_AMPLITUDES[1])
+@example(FAR_DATUM)
+def test_accepted_documents_run_and_keep_the_certified_guarantees(doc):
+    # what parse_scenario accepts, run completes without a warning; the certified
+    # scheme (backward Euler, upwind) never reports a broken discrete guarantee
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scenario = parse_scenario(doc)
+            report = lab.run(scenario)
+        except ScenarioError:
+            return
+    if scenario.solver.theta == 1.0 and scenario.solver.advection == "upwind":
+        for name in ("positivity", "max_principle", "radial_monotonicity"):
+            assert report.invariants[name] is not False, name
+
+
+def test_overflowing_weight_mass_is_a_lift_off_with_an_infinite_mass():
+    report = lab.run(parse_scenario(OVERFLOWING_MASS))
+    c = report.classification
+    assert c.verdict is lab.Verdict.LIFT_OFF and c.phi_mass == math.inf
+    assert c.note == "averaged growth inf exceeds dimension 2; weight mass exceeds the double range"
+    assert 0 < report.h_pred < 1 and report.h_tail_bound == math.inf
+
+
+def test_frame_store_is_bounded_before_allocating():
+    # 100001 frames x 4001 nodes x 8 B: rejected from the estimate alone
+    text = (Path(__file__).resolve().parent.parent / "configs" / "subcritical.ini").read_text()
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(re.sub(r"snapshot_stride\s*=\s*\d+", "snapshot_stride = 1", text))
+    assert str(exc.value) == ("solver.snapshot_stride: 100001 frames x 4001 nodes x 8 B = "
+                              "3200832008 B exceed the frame store budget 1073741824 B")
+    assert parse_scenario(text).solver.snapshot_stride == 1000

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from driftlab import weights
-from driftlab.grid import RadialField, RadialGrid
+from driftlab.grid import RadialField, RadialGrid, unit_sphere_area
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.solver import SolverConfig, solve
@@ -273,12 +273,66 @@ def test_upper_gamma_matches_scipy():
     assert rel.max() <= 1e-13
 
 
+def test_upper_gamma_of_nonpositive_order_matches_mpmath():
+    # the log tail reads Gamma(1 - alpha, x) with 1 - alpha <= 0 for alpha >= 1
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-4.0, -2.5, -1.0, -0.5, 0.0):
+        for x in np.geomspace(0.05, 60.0, 40):
+            ref = float(mpmath.gammainc(s, x))
+            assert abs(upper_gamma(s, x) - ref) <= 1e-12 * ref
+
+
 def test_upper_gamma_at_zero_is_the_complete_gamma():
     for s in (0.05, 0.5, 1.0, 2.5, 7.0, 20.0):
         assert upper_gamma(s, 0.0) == math.gamma(s)
     assert upper_gamma(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-15)
     # Gamma(200) is beyond the double range
     assert upper_gamma(200.0, 100.0) == math.inf
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (3, 1)])
+def test_log_tail_off_its_own_dimension_matches_mpmath(p, n):
+    # phi = phi(r0) (r/r0)^-p (log r / log r0)^-alpha beyond r0, integrated in n < p;
+    # the reference integrates that expression, not the library's closed form
+    mpmath = pytest.importorskip("mpmath")
+    area = unit_sphere_area(n)
+    for alpha in (-6.0, -1.0, 0.5, 1.0, 2.0):
+        for r0 in (1.5, math.e):
+            profile = LogCorrected(n_dim=p, alpha=alpha, r0=r0)
+            w = WeightFunction(profile)
+            phi0, log_r0 = mpmath.exp(-profile.psi_integral(r0)), mpmath.log(r0)
+
+            def far(a):
+                def f(r):
+                    return phi0 * (r / r0) ** -p * (mpmath.log(r) / log_r0) ** -alpha * r ** (n - 1)
+                with mpmath.workdps(25):
+                    return area * float(mpmath.quad(f, [a, 10 * a, 1e3 * a, mpmath.inf]))
+
+            for beyond in (r0, 4.0, 40.0):
+                assert phi_tail_bound(w, n, beyond) == pytest.approx(far(beyond), rel=1e-12)
+            # the mass is the near-field quadrature up to r0 plus the far field
+            near = area * phi_radial_integral(w, n, r0)
+            assert classify(profile, n).phi_mass == pytest.approx(near + far(r0), rel=1e-12)
+
+
+def test_log_tail_mass_in_a_lower_dimension_is_pinned():
+    # mpmath.quad over the same weight gives 438364719.97; the trapezoid radius doubling
+    # to r = 65536 that this closed form replaced gave 405497567.03
+    result = classify(LogCorrected(n_dim=2, alpha=-6.0, r0=1.5), 1)
+    assert result.verdict is Verdict.LIFT_OFF
+    assert result.phi_mass == pytest.approx(438364719.9676742, rel=1e-14)
+    assert result.note == "averaged growth 2 exceeds dimension 1"
+
+
+def test_far_field_is_closed_form_except_a_growing_log_tail_to_a_finite_radius():
+    for profile in (PowerLaw(3.0, -1.0, 1.0), PowerLaw(0.0, 1.0, 1.0), PowerLaw(1.0, 0.5, 1.0),
+                    LogCorrected(n_dim=2, alpha=2.0), Linear(), Zero()):
+        assert profile.tail().kind in ("power", "gamma", "log")
+    tail = LogCorrected(n_dim=2, alpha=2.0).tail()
+    assert weights._far_integral(tail, 3, 4.0, 40.0) is None
+    with pytest.raises(ValueError, match="diverges"):
+        weights._far_integral(tail, 3, 4.0, math.inf)
+    assert weights._far_integral(tail, 1, 4.0, 40.0) > 0
 
 
 def test_phi_tail_bound_matches_direct_integral():
