@@ -333,6 +333,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
             "theta": scenario.solver.theta,
             "advection": scenario.solver.advection,
             "outer_bc": scenario.solver.outer_bc,
+            "kernel": traj.kernel,
             "t_end": scenario.t_end,
             "diag_radius": scenario.diag_radius,
         },

@@ -10,6 +10,7 @@ ramp to zero on [0, r0] with a monotone cubic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ def _clamp_slope_ratio(ratio: float) -> float:
 class Tail:
     """phi = exp(-Psi) beyond the knot: "power" K r^-p (the constant K at p = 0),
     "gamma" K exp(-p r^q) with p, q > 0, or "log" K r^-p (log r)^-q.  log_K stays
-    finite where K overflows."""
+    finite where K overflows; a gamma tail's log_p is log p, exact where p underflows."""
 
     kind: str
     knot: float
@@ -60,6 +61,13 @@ class Tail:
     p: float = 0.0
     q: float = 0.0
     log_K: float = 0.0
+    log_p: float = 0.0
+
+    def exponent(self, r: float) -> float:
+        """p r^q of a gamma tail, in logarithms where p is below the normal range."""
+        if self.p >= sys.float_info.min:
+            return self.p * r**self.q
+        return math.exp(self.log_p + self.q * math.log(r))
 
 
 class DriftProfile:
@@ -155,13 +163,16 @@ class PowerLaw(DriftProfile):
             return Tail("power", knot, phi0 * knot**A, A, log_K=log_phi0 + A * math.log(knot))
         g = self.exponent + 1.0
         if A > 0 and g > 0:
-            c = max(A / g, math.ulp(0.0))  # A/g, or the least double where that underflows
+            c = A / g
+            # where A/g underflows, log c from A and g keeps the digits c r^g and c^-s need
+            log_c = math.log(c) if c >= sys.float_info.min else math.log(A) - math.log(g)
+            x0 = Tail("gamma", knot, 1.0, c, g, log_p=log_c).exponent(knot)  # c r0^g
             # K = inf where e^{c r0^g} leaves the double range; log K stays finite
             try:
-                K = phi0 * math.exp(c * knot**g)
+                K = phi0 * math.exp(x0)
             except OverflowError:
                 K = math.inf
-            return Tail("gamma", knot, K, c, g, c * knot**g + log_phi0)
+            return Tail("gamma", knot, K, c, g, x0 + log_phi0, log_c)
         return None
 
     @property
@@ -264,7 +275,7 @@ class Linear(DriftProfile):
     growth_limit = math.inf
 
     def tail(self) -> Tail:
-        return Tail("gamma", 0.0, 1.0, 0.5, 2.0)
+        return Tail("gamma", 0.0, 1.0, 0.5, 2.0, log_p=math.log(0.5))
 
     @property
     def nonnegative(self) -> bool:

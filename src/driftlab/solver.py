@@ -10,18 +10,29 @@ advection), time with the one-parameter theta scheme
 
     (I - theta*dt*L) u_new = (I + (1-theta)*dt*L) u_old,
 
-solved exactly: the tridiagonal implicit matrix is factored once per solve
-(LAPACK dgttrf, LU with partial pivoting) and each step is one pair of
-triangular solves with that factorization (dgttrs).  With theta = 1 and
-upwind advection the implicit matrix is an M-matrix with unit row sums, so the
-update is a convex combination of old node values: new values stay inside
-[min u_old, max u_old], non-negativity and radial monotonicity are preserved
-exactly (up to roundoff).
+solved exactly, with the implicit matrix factored once per step size.  L is
+self-adjoint in its own weight, L u = (phi r^(n-1))^-1 (phi r^(n-1) u_r)_r, and
+the discrete operator keeps this wherever every coupling lower[i+1], upper[i]
+is positive: always with upwind advection, below cell Peclet number 2 with
+centered.  There the scaling s[i+1]/s[i] = sqrt(lower[i+1]/upper[i]) makes
+S^-1 L S symmetric, with off-diagonal sqrt(lower[i+1]*upper[i]).  Since
+diag = -(lower+upper), the Gershgorin discs of I - theta*dt*L lie in
+Re z >= 1, so its symmetric similar matrix has every eigenvalue >= 1: it is
+positive definite for every theta and dt.  The steps then act on y = S^-1 u
+through a symmetric LDL^T factorization (LAPACK dpttrf, one dpttrs per step),
+a frozen outer node entering as a constant lift on the row before it.  Every
+other operator (a zero or negative coupling, or scales spanning more than
+MAX_LOG_SCALE_RANGE) is stepped on u itself through LU with partial pivoting
+(dgttrf, one dgttrs per step).  With theta = 1 and upwind advection the
+implicit matrix is an M-matrix with unit row sums, so the update is a convex
+combination of old node values: new values stay inside [min u_old, max u_old],
+non-negativity and radial monotonicity are preserved exactly (up to roundoff).
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -59,6 +70,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 ADVECTION_MODES = ("centered", "upwind")
 OUTER_BCS = ("dirichlet_frozen", "neumann")
@@ -102,12 +114,13 @@ class SolverConfig:
 
 
 class Trajectory:
-    """Snapshots of one simulation: times (frames,) and values (frames x nodes), read-only."""
+    """Snapshots of one simulation: times (frames,) and values (frames x nodes), read-only;
+    kernel names the factorization that stepped it ("ldlt" or "lu"; None without a step)."""
 
-    __slots__ = ("grid", "times", "values", "profile", "config")
+    __slots__ = ("grid", "times", "values", "profile", "config", "kernel")
 
     def __init__(self, grid: RadialGrid, times, values, profile: DriftProfile,
-                 config: SolverConfig):
+                 config: SolverConfig, kernel: str | None = None):
         # read-only views: no copy of the block
         times = np.asarray(times, dtype=float).view()
         values = np.asarray(values, dtype=float).view()
@@ -122,7 +135,7 @@ class Trajectory:
                              f"got {values.shape}")
         times.flags.writeable = False
         values.flags.writeable = False
-        for name, value in zip(self.__slots__, (grid, times, values, profile, config)):
+        for name, value in zip(self.__slots__, (grid, times, values, profile, config, kernel)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -180,35 +193,96 @@ def apply_tridiagonal(lower, diag, upper, v):
     return out
 
 
+# Bound on max(log s) - min(log s) for the symmetric path: the centred scales stay within
+# [2**-256, 2**256], so y = u/s is a normal double for every 2**-766 <= |u| <= 2**767.
+# Past it a stretch of y can sit in subnormals, which cost about ten times a normal step.
+MAX_LOG_SCALE_RANGE = 512 * math.log(2.0)
+
+
+def _log_scales(lo, up, m):
+    """Centred log s with s[i+1]/s[i] = sqrt(lo[i+1]/up[i]) over the first m rows, or None
+    where a coupling is not positive or the scales span more than MAX_LOG_SCALE_RANGE."""
+    a, b = lo[1:m], up[:m - 1]
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        return None
+    log_s = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(a) - np.log(b)))))
+    top, bottom = log_s.max(), log_s.min()
+    if top - bottom > MAX_LOG_SCALE_RANGE:
+        return None
+    return log_s - 0.5 * (top + bottom)
+
+
 class _ThetaStepper:
-    """Theta-scheme for one fixed dt, factored once; advance() performs one step."""
+    """Theta-scheme for one fixed dt, factored once.
+
+    state(u) is the vector the steps act on, advance(x) performs one step in
+    place and field(x) reads u back; kernel names the factorization, "ldlt"
+    (dpttrf on the symmetrized system) or "lu" (dgttrf on L itself).
+    """
 
     def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
         lo, d, up = operator_diagonals(grid, profile, config.advection, config.outer_bc)
         theta = config.theta
-        *lu, info = dgttrf(-theta * dt * lo[1:], 1.0 - theta * dt * d, -theta * dt * up[:-1])
-        if info > 0:
-            raise SolverError(f"singular implicit system: zero pivot in row {info}")
-        self._lu = lu
+        N = grid.num_nodes
+        # a frozen outer node is an identity row: a constant lift on the row before it
+        m = N - 1 if config.outer_bc == "dirichlet_frozen" else N
+        log_s = _log_scales(lo, up, m)
+        self._lift = 0.0
+        if log_s is None:
+            self.kernel, self._scale = "lu", None
+            *self._factors, info = dgttrf(-theta * dt * lo[1:], 1.0 - theta * dt * d,
+                                          -theta * dt * up[:-1])
+            if info > 0:
+                raise SolverError(f"singular implicit system: zero pivot in row {info}")
+            self._solve = dgttrs
+            lower, d, upper = lo[1:], d, up[:-1]
+        else:
+            self.kernel, self._scale = "ldlt", np.exp(log_s)
+            self._outer_coupling = dt * up[m - 1] / self._scale[-1]  # frozen node to row m-1
+            lower = upper = np.sqrt(lo[1:m] * up[:m - 1])
+            d = d[:m]
+            *self._factors, info = dpttrf(1.0 - theta * dt * d, -theta * dt * lower)
+            if info > 0:
+                raise SolverError(f"implicit system not positive definite at row {info}")
+            self._solve = dpttrs
         self._explicit = None
         if theta < 1.0:
             w = (1.0 - theta) * dt
-            self._explicit = (w * lo[1:], w * d, w * up[:-1])
-            self._rhs = np.empty(grid.num_nodes)
-            self._off = np.empty(grid.num_nodes - 1)
+            self._explicit = (w * lower, w * d, w * upper)
+            self._rhs = np.empty(len(d))
+            self._off = np.empty(len(d) - 1)
 
-    def advance(self, v: np.ndarray) -> np.ndarray:
+    def state(self, u: np.ndarray) -> np.ndarray:
+        """A fresh copy of u for the steps to act on: y = u/s without the frozen node on the
+        symmetric path, u itself on the general one."""
+        if self._scale is None:
+            return u.copy()
+        m = len(self._scale)
+        self._outer = u[m:].copy()
+        self._lift = self._outer_coupling * u[-1] if m < len(u) else 0.0
+        return u[:m] / self._scale
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """u of a state; valid until the next advance."""
+        if self._scale is None:
+            return x
+        return np.concatenate((self._scale * x, self._outer))
+
+    def advance(self, x: np.ndarray) -> np.ndarray:
         if self._explicit is None:
-            rhs = v
+            rhs = x
         else:
-            # v + apply_tridiagonal(w*lo, w*d, w*up, v), same operation order, no allocation
+            # x + apply_tridiagonal(w*lo, w*d, w*up, x), same operation order, no allocation
             lo, d, up = self._explicit
             rhs, off = self._rhs, self._off
-            np.multiply(d, v, out=rhs)
-            rhs[1:] += np.multiply(lo, v[:-1], out=off)
-            rhs[:-1] += np.multiply(up, v[1:], out=off)
-            np.add(v, rhs, out=rhs)
-        return dgttrs(*self._lu, rhs)[0]
+            np.multiply(d, x, out=rhs)
+            rhs[1:] += np.multiply(lo, x[:-1], out=off)
+            rhs[:-1] += np.multiply(up, x[1:], out=off)
+            np.add(x, rhs, out=rhs)
+            self._rhs = x  # the old state is the next step's buffer
+        if self._lift:
+            rhs[-1] += self._lift
+        return self._solve(*self._factors, rhs, overwrite_b=1)[0]
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
@@ -253,35 +327,38 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     values = np.empty((rows, grid.num_nodes))
     times[0], values[0] = 0.0, u0.values
     stepper = _ThetaStepper(grid, profile, config, dt)
-    good_k, good_v = 0, u0.values
+    x = stepper.state(u0.values)
+    good_k, good_x = 0, x.copy()
     v = u0.values
     for k in range(1, n_full + 1):
-        v = stepper.advance(v)
+        x = stepper.advance(x)
         if k % stride == 0 or k == n_full:
+            v = stepper.field(x)
             if not np.all(np.isfinite(v)):
-                k = _first_bad_step(stepper, good_v, good_k, k)
+                k = _first_bad_step(stepper, good_x, good_k, k)
                 raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
-            good_k, good_v = k, v
+            good_k, good_x = k, x.copy()
             if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
                 times[k // stride], values[k // stride] = k * dt, v
     if remainder > 0.0:
-        v = _ThetaStepper(grid, profile, config, remainder).advance(v)
+        last = _ThetaStepper(grid, profile, config, remainder)
+        v = last.field(last.advance(last.state(v)))
         if not np.all(np.isfinite(v)):
             raise DivergenceError(f"non-finite values in final shortened step (t = {t_end:g})")
     times[-1], values[-1] = t_end, v
-    return Trajectory(grid, times, values, profile, config)
+    return Trajectory(grid, times, values, profile, config, stepper.kernel)
 
 
-def _first_bad_step(stepper: _ThetaStepper, v: np.ndarray, k: int, k_bad: int) -> int:
-    """First non-finite step after the finite state v at step k; step k_bad is non-finite.
+def _first_bad_step(stepper: _ThetaStepper, x: np.ndarray, k: int, k_bad: int) -> int:
+    """First non-finite step after the finite state x at step k; step k_bad is non-finite.
 
-    Non-finite values never become finite again: the factors are finite, so
-    every product, sum and division with a NaN or Inf (0*Inf = NaN) stays
-    non-finite.  Replaying the same arithmetic from v therefore meets the step
-    a check after every step would have named.
+    Non-finite values never become finite again: the factors and scales are
+    finite, so every product, sum and division with a NaN or Inf (0*Inf = NaN)
+    stays non-finite.  Replaying the same arithmetic from x therefore meets the
+    step a check after every step would have named.
     """
     for k in range(k + 1, k_bad):
-        v = stepper.advance(v)
-        if not np.all(np.isfinite(v)):
+        x = stepper.advance(x)
+        if not np.all(np.isfinite(stepper.field(x))):
             return k
     return k_bad

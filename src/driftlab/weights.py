@@ -16,6 +16,7 @@ and L = n is resolved by integrability of phi(r) r^{n-1}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,16 +175,18 @@ def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
     if kind == "gamma":
         c, g = tail.p, tail.q
         s = n / g
-        hi = 0.0 if math.isinf(b) else upper_gamma(s, c * b**g)
-        lo = upper_gamma(s, c * a**g)
-        out = K / g * c**(-s) * (lo - hi) if -s * math.log(c) < 700.0 else math.inf
+        hi = 0.0 if math.isinf(b) else upper_gamma(s, tail.exponent(b))
+        lo = upper_gamma(s, tail.exponent(a))
+        direct = c >= sys.float_info.min and -s * tail.log_p < 700.0
+        out = K / g * c**(-s) * (lo - hi) if direct else math.inf
         if math.isfinite(out):
             return out
-        # K, Gamma(s) or c^-s leaves the double range (s beyond ~171): each term in logarithms
-        log_k = tail.log_K - math.log(g) - s * math.log(c)
+        # K, Gamma(s) or c^-s leaves the double range (s beyond ~171), or c underflows:
+        # each term in logarithms
+        log_k = tail.log_K - math.log(g) - s * tail.log_p
         try:
-            hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, c * b**g))
-            return math.exp(log_k + _log_upper_gamma(s, c * a**g)) - hi
+            hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, tail.exponent(b)))
+            return math.exp(log_k + _log_upper_gamma(s, tail.exponent(a))) - hi
         except OverflowError:
             return math.inf
     if kind == "log":

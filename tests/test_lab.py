@@ -121,6 +121,16 @@ def test_run_outputs_are_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_report_names_the_kernel_that_stepped_the_run(tmp_path):
+    # A = 3 in n = 2 is symmetrizable; psi = 0 in n = 3, centered, has lower[1] = 0
+    general = FAST_SUPERCRITICAL.replace("A = 3", "A = 0").replace("n = 2", "n = 3")
+    for text, kernel in ((FAST_SUPERCRITICAL, "ldlt"), (general, "lu")):
+        report = lab.run(parse_scenario(text), out_dir=tmp_path / kernel)
+        assert report.resolution["kernel"] == kernel
+        data = json.loads((tmp_path / kernel / "report.json").read_text())
+        assert data["resolution"]["kernel"] == kernel
+
+
 def test_csv_floats_have_full_precision(tmp_path):
     s = parse_scenario(FAST_SUPERCRITICAL)
     report = lab.run(s, out_dir=tmp_path)

@@ -414,6 +414,32 @@ FAR_DATUM = MINIMAL.replace("n = 2", "n = 1\nr_max = 40\nnum_nodes = 201").repla
     "kind = gaussian\nsigma = 1", "kind = tabulated\nsamples = 0:0, 39.8:0, 40:1") + (
     "\n[solver]\ntheta = 1\nadvection = upwind\nsnapshot_stride = 1\n\n[run]\nt_end = 0.004\n")
 
+# a constant datum under backward Euler at dt/h^2 = 387 for 375 steps: a constant must
+# stay within MAX_PRINCIPLE_ATOL of itself (1.8e-12 through LU; 5.2e-13 through LDL^T)
+CONSTANT_DATUM = """
+[profile]
+kind = linear
+
+[domain]
+n = 2
+r_max = 2.0
+num_nodes = 177
+
+[initial]
+kind = tabulated
+samples = 0.0:0.1674910373611735, 2.0:0.1674910373611735
+
+[solver]
+dt = 0.05
+theta = 1.0
+advection = upwind
+outer_bc = neumann
+snapshot_stride = 1
+
+[run]
+t_end = 18.75
+"""
+
 
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
@@ -422,6 +448,7 @@ FAR_DATUM = MINIMAL.replace("n = 2", "n = 1\nr_max = 40\nnum_nodes = 201").repla
 @example(TINY_AMPLITUDES[0])
 @example(TINY_AMPLITUDES[1])
 @example(FAR_DATUM)
+@example(CONSTANT_DATUM)
 def test_accepted_documents_run_and_keep_the_certified_guarantees(doc):
     # what parse_scenario accepts, run completes without a warning; the certified
     # scheme (backward Euler, upwind) never reports a broken discrete guarantee

@@ -257,9 +257,15 @@ FRAME_LAYOUTS = [(1, 0.305, 30), (5, 0.305, 30), (5, 0.3, 30), (7, 0.305, 30), (
                  (50, 0.305, 30)]
 
 
+# the symmetric path and the banded reference round differently: at most a few ulps of
+# max|u| per step, 3.2e-15 measured over FRAME_LAYOUTS' 31 steps
+SYMMETRIC_PATH_RTOL = 1e-14
+
+
 @pytest.mark.parametrize("theta,advection", [(0.5, "centered"), (1.0, "upwind")])
 @pytest.mark.parametrize("outer_bc", ["dirichlet_frozen", "neumann"])
 def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
+    # times bitwise; values to roundoff, since PowerLaw(3, -1) takes the symmetric path
     g = _grid(nodes=101)
     u0 = GaussianData(1.0, 2).field(g)
     for stride, t_end, n_full in FRAME_LAYOUTS:
@@ -267,6 +273,28 @@ def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
                            snapshot_stride=stride)
         traj = solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, t_end)
         times, values = _reference_solve(u0, PowerLaw(3.0, -1.0, 1.0), cfg, n_full, t_end)
+        assert traj.kernel == "ldlt"
+        assert np.array_equal(traj.times, times), (stride, t_end)
+        err = np.max(np.abs(traj.values - values)) / np.max(np.abs(values))
+        assert err <= SYMMETRIC_PATH_RTOL, (stride, t_end, err)
+
+
+# operators the symmetric path refuses: a zero coupling (lower[1] = 0), a negative one
+# (cell Peclet number 10), and scales spanning e^911 > e^MAX_LOG_SCALE_RANGE = e^355
+GENERAL_PATH_CASES = [(Zero(), 3, 10.0, 101), (PowerLaw(50.0, 0.0), 2, 10.0, 51),
+                      (Linear(), 2, 60.0, 6001)]
+
+
+@pytest.mark.parametrize("profile,n_dim,r_max,nodes", GENERAL_PATH_CASES)
+@pytest.mark.parametrize("outer_bc", ["dirichlet_frozen", "neumann"])
+def test_general_path_matches_banded_reference_bitwise(profile, n_dim, r_max, nodes, outer_bc):
+    g = RadialGrid(r_max, nodes, n_dim)
+    u0 = GaussianData(1.0, n_dim).field(g)
+    for stride, t_end, n_full in FRAME_LAYOUTS[:3]:
+        cfg = SolverConfig(dt=1e-2, theta=0.5, outer_bc=outer_bc, snapshot_stride=stride)
+        traj = solve(u0, profile, cfg, t_end)
+        times, values = _reference_solve(u0, profile, cfg, n_full, t_end)
+        assert traj.kernel == "lu"
         assert np.array_equal(traj.times, times), (stride, t_end)
         assert np.array_equal(traj.values, values), (stride, t_end)
 
@@ -274,6 +302,8 @@ def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
 def test_loaded_lapack_matches_scipy_linalg_bitwise():
     from scipy.linalg import lapack
 
+    for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs"):
+        assert getattr(solver, name) is getattr(lapack, name), name
     rng = np.random.default_rng(7)
     N = 64
     dl, du = rng.uniform(-1.0, 1.0, N - 1), rng.uniform(-1.0, 1.0, N - 1)
@@ -290,23 +320,41 @@ def test_loaded_lapack_matches_scipy_linalg_bitwise():
     assert x[1] == x_ref[1] == 0
     assert np.array_equal(x[0], x_ref[0])
 
+    # a random symmetric positive definite tridiagonal: diagonal dominance
+    e = rng.uniform(-1.0, 1.0, N - 1)
+    d = 2.0 + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + rng.uniform(0.0, 1.0, N)
+    ours, ref = solver.dpttrf(d, e), lapack.dpttrf(d, e)
+    assert ours[-1] == ref[-1] == 0
+    for a, r in zip(ours, ref):
+        assert np.array_equal(a, r)
+    x = solver.dpttrs(*ours[:-1], b.copy(), overwrite_b=1)
+    x_ref = lapack.dpttrs(*ref[:-1], b)
+    assert x[1] == x_ref[1] == 0
+    assert np.array_equal(x[0], x_ref[0])
+
 
 def test_solve_factors_once_per_step_size(monkeypatch):
-    calls, dgttrf = [], solver.dgttrf
+    calls = []
 
-    def counting_dgttrf(dl, d, du):
-        calls.append(len(d))
-        return dgttrf(dl, d, du)
+    def counting(name, factorize):
+        def factor(*args):
+            calls.append((name, max(map(len, args))))  # the diagonal: one entry per row
+            return factorize(*args)
+        return factor
 
-    monkeypatch.setattr(solver, "dgttrf", counting_dgttrf)
-    g = _grid(nodes=51)
-    u0 = GaussianData(1.0, 2).field(g)
+    for name in ("dgttrf", "dpttrf"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     cfg = SolverConfig(dt=1e-2, snapshot_stride=5)
-    solve(u0, Zero(), cfg, 0.2)
-    assert calls == [51]
-    calls.clear()
-    solve(u0, Zero(), cfg, 0.205)  # shortened final step: its own factorization
-    assert calls == [51, 51]
+    # psi = 0 centered: symmetric in n = 2, where the frozen outer node leaves the
+    # system; lower[1] = 0 in n = 3
+    for n_dim, call in ((2, ("dpttrf", 50)), (3, ("dgttrf", 51))):
+        u0 = GaussianData(1.0, n_dim).field(_grid(n_dim=n_dim, nodes=51))
+        calls.clear()
+        solve(u0, Zero(), cfg, 0.2)
+        assert calls == [call]
+        calls.clear()
+        solve(u0, Zero(), cfg, 0.205)  # shortened final step: its own factorization
+        assert calls == [call, call]
 
 
 def test_zero_pivot_raises_solver_error(monkeypatch):

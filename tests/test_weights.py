@@ -259,6 +259,20 @@ def test_phi_mass_past_the_range_of_the_gamma_function():
     assert result.phi_mass == pytest.approx(1.244901768990049e170, rel=1e-11)
 
 
+def test_gamma_tail_below_the_least_double_matches_mpmath():
+    # c = A/(beta+1) = 2.2e-324 underflows; the tail carries log c, so the mass keeps
+    # every digit (with c rounded to the least double it would be 2.49e294).  Reference: 2 pi e^c
+    # Gamma(s, c) / (g c^s) over r >= r0 = 1 in 40 digits; the ramp's share, at most
+    # 2 pi int_0^1 r dr = pi, is below the mass's last digit
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g = mpmath.mpf(1.2) + 1
+        c, s = mpmath.mpf(5e-324) / g, 2 / g
+        ref = float(2 * mpmath.pi * mpmath.exp(c) * mpmath.gammainc(s, c) / (g * c**s))
+    assert ref == pytest.approx(5.1012e294, rel=1e-5)
+    assert classify(PowerLaw(5e-324, 1.2), 2).phi_mass == pytest.approx(ref, rel=1e-13)
+
+
 def test_upper_gamma_matches_scipy():
     from scipy.special import gamma, gammaincc
 
