@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
 from . import lab
-from .scenario import SWEEPABLE, ScenarioError, parse_scenario
+from .scenario import SWEEP_PARAMETERS, ScenarioError, parse_scenario
 from .weights import classify
 
 
@@ -38,14 +37,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_classify(args) -> int:
     scenario = _load_scenario(args.config)
     result = classify(scenario.profile, scenario.n_dim)
-    payload = {
-        "name": scenario.name,
-        "verdict": result.verdict.value,
-        "growth_limit": result.growth_limit,
-        "growth_bounds": result.growth_bounds,
-        "phi_mass": result.phi_mass,
-        "note": result.note,
-    }
     if not args.quiet:
         L = result.growth_limit
         print(f"verdict: {result.verdict.value}")
@@ -53,24 +44,23 @@ def _cmd_classify(args) -> int:
         print(f"weight mass: {'n/a' if result.phi_mass is None else result.phi_mass}")
         print(f"note: {result.note}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{scenario.name}_classification.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        lab.write_json(Path(args.out) / f"{scenario.name}_classification.json",
+                       {"name": scenario.name} | result.to_dict())
     return 0
 
 
 def _parse_values(parameter: str, raw: str):
+    cast = SWEEP_PARAMETERS[parameter][3]
     vals = []
     for tok in raw.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            vals.append(int(tok) if parameter in ("n_dim", "num_nodes") else float(tok))
+            vals.append(cast(tok))
         except ValueError:
-            raise ScenarioError(f"--values: expected a number, got {tok!r}") from None
+            wanted = "an integer" if cast is int else "a number"
+            raise ScenarioError(f"--values: expected {wanted}, got {tok!r}") from None
     if not vals:
         raise ScenarioError("--values: empty list")
     return vals
@@ -123,11 +113,7 @@ def _cmd_verify(args) -> int:
             print(check.line())
         print(f"{summary} ({report.elapsed_seconds:.1f}s)")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"verify_{report.suite}.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        lab.write_json(Path(args.out) / f"verify_{report.suite}.json", report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -155,7 +141,7 @@ def main(argv=None) -> int:
     p_swp = sub.add_parser("sweep", parents=[common],
                            help="repeat a scenario over a list of parameter values")
     p_swp.add_argument("config", help="scenario config file")
-    p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_swp.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMETERS))
     p_swp.add_argument("--threads", type=_worker_count, default=1, metavar="K",
                        help="worker processes, forked, at most one per value (default 1)")
     p_swp.add_argument("--values", required=True, metavar="CSV",

@@ -81,9 +81,19 @@ def write_diagnostics_csv(path, series: DiagnosticSeries) -> None:
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+    """x with numpy scalars as Python ones and non-finite floats as "inf", "-inf", "nan"."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_jsonable, x))
+    x = x.item() if isinstance(x, np.generic) else x
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write one JSON artifact, creating its directory; float() reads back a non-finite value."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +124,10 @@ class RunReport:
 
     def to_dict(self) -> dict:
         """report.json: the fields in order, classification flattened, series left out."""
-        c = self.classification
-        out = {"name": self.name, "verdict": c.verdict.value, "growth_limit": c.growth_limit,
-               "growth_bounds": c.growth_bounds, "phi_mass": c.phi_mass, "classifier_note": c.note}
-        return out | {f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name not in ("name", "classification", "series")}
+        c = self.classification.to_dict()
+        c["classifier_note"] = c.pop("note")
+        return {"name": self.name} | c | {f.name: getattr(self, f.name) for f in fields(self)
+                                          if f.name not in ("name", "classification", "series")}
 
 
 def field_measures(values: np.ndarray) -> dict:
@@ -345,9 +354,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         out.mkdir(parents=True, exist_ok=True)
         write_frames_csv(out / "frames.csv", traj)
         write_diagnostics_csv(out / "diagnostics.csv", series)
-        with open(out / "report.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, default=_jsonable)
-            fh.write("\n")
+        write_json(out / "report.json", report.to_dict())
     return report
 
 
@@ -358,6 +365,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
 @dataclass
 class SweepRow:
     value: float
+    label: str  # the value as the table and the row directory parameter=label show it
     report: RunReport | None = None
     error: str | None = None
 
@@ -369,13 +377,13 @@ class SweepResult:
     table: str
 
 
-def _sweep_one(base: Scenario, parameter: str, value, out_dir) -> SweepRow:
+def _sweep_one(base: Scenario, parameter: str, out_dir, value, label: str) -> SweepRow:
     try:
         scen = apply_parameter(base, parameter, value)
-        scen_out = None if out_dir is None else Path(out_dir) / f"{parameter}={value:g}"
-        return SweepRow(value=value, report=run(scen, out_dir=scen_out))
+        scen_out = None if out_dir is None else Path(out_dir) / f"{parameter}={label}"
+        return SweepRow(value, label, report=run(scen, out_dir=scen_out))
     except Exception as exc:  # recorded per row; the sweep continues
-        return SweepRow(value=value, error=f"{type(exc).__name__}: {exc}")
+        return SweepRow(value, label, error=f"{type(exc).__name__}: {exc}")
 
 
 def _sweep_table(parameter: str, rows) -> str:
@@ -383,12 +391,12 @@ def _sweep_table(parameter: str, rows) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         if row.error is not None:
-            lines.append(f"{row.value:>12g}  {'ERROR':<20} {row.error}")
+            lines.append(f"{row.label:>12}  {'ERROR':<20} {row.error}")
             continue
         rep = row.report
         L = rep.classification.growth_limit
         lines.append(
-            f"{row.value:>12g}  {rep.classification.verdict.value:<20}"
+            f"{row.label:>12}  {rep.classification.verdict.value:<20}"
             f" {'-' if L is None else format(L, '>10.4g'):>10}"
             f" {'-' if rep.h_pred is None else format(rep.h_pred, '.6g'):>12}"
             f" {'-' if rep.h_obs is None else format(rep.h_obs, '.6g'):>12}"
@@ -408,12 +416,18 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
     sends the row back pickled.  Row order follows the given values; a row
     failure is recorded in place and does not abort the remaining runs, and
     a worker that dies marks each row it takes down with BrokenProcessPool.
+    Each row is labelled by its value to 6 significant digits; two values
+    with one label raise ScenarioError before any row runs.
     """
     values = list(values)
-    one = functools.partial(_sweep_one, base, parameter, out_dir=out_dir)
+    labels = [f"{value:g}" for value in values]
+    if len(set(labels)) < len(labels):
+        raise ScenarioError(f"sweep values must differ in 6 significant digits, "
+                            f"got the row labels {', '.join(labels)}")
+    one = functools.partial(_sweep_one, base, parameter, out_dir)
     workers = min(threads, len(values))
     if workers <= 1:
-        rows = list(map(one, values))
+        rows = list(map(one, values, labels))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -425,13 +439,13 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
         # before its own manager thread exists.
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(one, v) for v in values]
+            futures = [pool.submit(one, v, label) for v, label in zip(values, labels)]
             rows = []
-            for value, fut in zip(values, futures):
+            for value, label, fut in zip(values, labels, futures):
                 try:
                     rows.append(fut.result())
                 except BrokenProcessPool as exc:
-                    rows.append(SweepRow(value=value, error=f"BrokenProcessPool: {exc}"))
+                    rows.append(SweepRow(value, label, error=f"BrokenProcessPool: {exc}"))
     table = _sweep_table(parameter, rows)
     if out_dir is not None:
         out = Path(out_dir)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,6 +99,8 @@ class Scenario:
         if self.solver.advection == "centered" and self.n_dim >= 4:
             raise ScenarioError(f"solver.advection: centered advection needs n <= 3, "
                                 f"got n = {self.n_dim}; use upwind")
+        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+            raise ScenarioError(f"run.name: must be a file name, got {self.name!r}")
         if self.t_end < 0:
             raise ScenarioError(f"run.t_end: must be non-negative, got {self.t_end}")
         try:
@@ -334,37 +337,32 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     )
 
 
-SWEEPABLE = ("A", "beta", "alpha", "sigma", "n_dim", "r_max", "num_nodes", "dt")
+# sweep parameter -> (Scenario field, component field, component type it needs, value type)
+SWEEP_PARAMETERS = {
+    "A": ("profile", "amplitude", PowerLaw, float),
+    "beta": ("profile", "exponent", PowerLaw, float),
+    "alpha": ("profile", "alpha", LogCorrected, float),
+    "sigma": ("initial", "sigma", GaussianData, float),
+    "n_dim": ("grid", "n_dim", RadialGrid, int),
+    "r_max": ("grid", "r_max", RadialGrid, float),
+    "num_nodes": ("grid", "num_nodes", RadialGrid, int),
+    "dt": ("solver", "dt", SolverConfig, float),
+}
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     """Return a copy of the scenario with one sweep parameter replaced."""
-    if parameter not in SWEEPABLE:
-        raise ScenarioError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    if parameter in ("A", "beta"):
-        if not isinstance(scenario.profile, PowerLaw):
-            raise ScenarioError(f"parameter {parameter!r} requires a powerlaw profile")
-        field_name = "amplitude" if parameter == "A" else "exponent"
-        return replace(scenario, profile=replace(scenario.profile, **{field_name: float(value)}))
-    if parameter == "alpha":
-        if not isinstance(scenario.profile, LogCorrected):
-            raise ScenarioError("parameter 'alpha' requires a logcorrected profile")
-        return replace(scenario, profile=replace(scenario.profile, alpha=float(value)))
-    if parameter == "sigma":
-        if not isinstance(scenario.initial, GaussianData):
-            raise ScenarioError("parameter 'sigma' requires a gaussian initial field")
-        return replace(scenario, initial=replace(scenario.initial, sigma=float(value)))
-    if parameter == "n_dim":
-        n = int(value)
-        grid = replace(scenario.grid, n_dim=n)
-        profile, initial = scenario.profile, scenario.initial
-        if isinstance(profile, LogCorrected):
-            profile = replace(profile, n_dim=n)
-        if isinstance(initial, GaussianData):
-            initial = replace(initial, n_dim=n)
-        return replace(scenario, grid=grid, profile=profile, initial=initial)
-    if parameter == "r_max":
-        return replace(scenario, grid=replace(scenario.grid, r_max=float(value)))
-    if parameter == "num_nodes":
-        return replace(scenario, grid=replace(scenario.grid, num_nodes=int(value)))
-    return replace(scenario, solver=replace(scenario.solver, dt=float(value)))
+    if parameter not in SWEEP_PARAMETERS:
+        raise ScenarioError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}, "
+                            f"got {parameter!r}")
+    part, field_name, kind, cast = SWEEP_PARAMETERS[parameter]
+    component = getattr(scenario, part)
+    if not isinstance(component, kind):
+        raise ScenarioError(f"parameter {parameter!r} requires a {kind.__name__} {part}, "
+                            f"got {type(component).__name__}")
+    changes = {part: replace(component, **{field_name: cast(value)})}
+    if parameter == "n_dim":  # a log-corrected drift and a Gaussian datum carry it too
+        for other in ("profile", "initial"):
+            if isinstance(getattr(scenario, other), (LogCorrected, GaussianData)):
+                changes[other] = replace(getattr(scenario, other), n_dim=cast(value))
+    return replace(scenario, **changes)

@@ -284,6 +284,11 @@ class ClassificationResult:
         if self.verdict.lifts_off and not (self.phi_mass is not None and self.phi_mass > 0):
             raise ValueError("lift-off verdict requires a positive weight mass")
 
+    def to_dict(self) -> dict:
+        """The classification as the classify artifact and report.json write it."""
+        return {"verdict": self.verdict.value, "growth_limit": self.growth_limit,
+                "growth_bounds": self.growth_bounds, "phi_mass": self.phi_mass, "note": self.note}
+
 
 def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
     """Lift-off / decay verdict for the drift profile in ambient dimension n_dim.

@@ -131,6 +131,28 @@ def test_report_names_the_kernel_that_stepped_the_run(tmp_path):
         assert data["resolution"]["kernel"] == kernel
 
 
+def _strict_json(path):
+    def no_constant(token):
+        raise ValueError(f"{path.name} is not strict JSON: {token}")
+
+    return json.loads(path.read_text(), parse_constant=no_constant)
+
+
+def test_json_artifacts_write_non_finite_values_as_strings(tmp_path):
+    # a decay has infinite weight mass, a linear drift infinite averaged growth
+    linear = FAST_SUPERCRITICAL.replace("kind = powerlaw\nA = 3\nbeta = -1\nr0 = 1",
+                                        "kind = linear").replace("t_end = 2.0", "t_end = 0.1")
+    for text, key in ((FAST_SUBCRITICAL, "phi_mass"), (linear, "growth_limit")):
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["classify", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
+        name = parse_scenario(text).name
+        for path in (tmp_path / "out" / name / "report.json",
+                     tmp_path / "out" / f"{name}_classification.json"):
+            data = _strict_json(path)
+            assert data[key] == "inf" and float(data[key]) == math.inf
+
+
 def test_csv_floats_have_full_precision(tmp_path):
     s = parse_scenario(FAST_SUPERCRITICAL)
     report = lab.run(s, out_dir=tmp_path)
@@ -173,6 +195,21 @@ def test_sweep_parallel_matches_serial(tmp_path):
             assert ((tmp_path / "serial" / row / name).read_bytes()
                     == (tmp_path / "parallel" / row / name).read_bytes()), (row, name)
     assert serial.table == parallel.table
+
+
+def test_sweep_values_with_one_label_are_rejected_before_any_row_runs(tmp_path, monkeypatch):
+    s = parse_scenario(FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(lab, "run", no_run)
+    # both values read sigma=1 to 6 significant digits: one would overwrite the other's row
+    with pytest.raises(ScenarioError, match="differ in 6 significant digits"):
+        lab.sweep(s, "sigma", [1.0000001, 1.0000002], out_dir=tmp_path / "rows")
+    assert not (tmp_path / "rows").exists()
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
+    assert cli.main(["sweep", cfg, "--param", "sigma", "--values", "1.0000001,1.0000002"]) == 2
 
 
 def test_sweep_records_a_dead_worker_and_returns(monkeypatch):
@@ -587,6 +624,21 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", cfg])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_run_name_outside_out(tmp_path, capsys):
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("name = fast-super",
+                                                             "name = ../escaped"))
+    for command in ("simulate", "classify"):
+        assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "run.name: must be a file name, got '../escaped'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
+
+
+def test_cli_sweep_integer_parameter_asks_for_an_integer(tmp_path, capsys):
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
+    assert cli.main(["sweep", cfg, "--param", "num_nodes", "--values", "2.5"]) == 2
+    assert "--values: expected an integer, got '2.5'" in capsys.readouterr().err
 
 
 def test_cli_sweep_accepts_negative_values(tmp_path, capsys):

@@ -305,6 +305,60 @@ def test_apply_parameter_type_mismatches():
         apply_parameter(s, "cfl", 0.5)
 
 
+TABULATED_DATUM = MINIMAL.replace("kind = gaussian\nsigma = 1",
+                                  "kind = tabulated\nsamples = 0:1, 20:0")
+LOGCORRECTED = MINIMAL.replace("kind = zero", "kind = logcorrected\nalpha = 2")
+
+
+# parameter -> (document, value, Scenario field, component field it sets, value type)
+SWEEP_CASES = {
+    "A": (SUPERCRITICAL, 2, "profile", "amplitude", float),
+    "beta": (SUPERCRITICAL, -2, "profile", "exponent", float),
+    "alpha": (LOGCORRECTED, 3, "profile", "alpha", float),
+    "sigma": (MINIMAL, 2, "initial", "sigma", float),
+    "n_dim": (TABULATED_DATUM, 3.0, "grid", "n_dim", int),
+    "r_max": (MINIMAL, 25, "grid", "r_max", float),
+    "num_nodes": (MINIMAL, 401.0, "grid", "num_nodes", int),
+    "dt": (MINIMAL, 2e-3, "solver", "dt", float),
+}
+
+
+@pytest.mark.parametrize("parameter", SWEEP_CASES)
+def test_each_sweep_parameter_sets_exactly_its_field(parameter):
+    text, value, part, field_name, value_type = SWEEP_CASES[parameter]
+    s = parse_scenario(text)
+    swept = apply_parameter(s, parameter, value)
+    assert swept == replace(s, **{part: replace(getattr(s, part), **{field_name: value})})
+    assert type(getattr(getattr(swept, part), field_name)) is value_type
+
+
+# parameter -> (document whose component has the wrong type, what the message asks for, got)
+WRONG_COMPONENT_CASES = {
+    "A": (MINIMAL, "PowerLaw profile", "Zero"),
+    "beta": (LOGCORRECTED, "PowerLaw profile", "LogCorrected"),
+    "alpha": (SUPERCRITICAL, "LogCorrected profile", "PowerLaw"),
+    "sigma": (TABULATED_DATUM, "GaussianData initial", "TabulatedInitial"),
+}
+
+
+@pytest.mark.parametrize("parameter", WRONG_COMPONENT_CASES)
+def test_sweep_parameter_on_the_wrong_component_names_the_parameter(parameter):
+    text, needed, got = WRONG_COMPONENT_CASES[parameter]
+    with pytest.raises(ScenarioError) as exc:
+        apply_parameter(parse_scenario(text), parameter, 1.0)
+    assert str(exc.value) == f"parameter {parameter!r} requires a {needed}, got {got}"
+
+
+def test_run_name_must_be_a_file_name():
+    # the name is a directory under --out: it must not leave it
+    for name in ("../escaped", "runs/a", ".", ".."):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(MINIMAL + f"\n[run]\nname = {name}\n")
+        assert str(exc.value) == f"run.name: must be a file name, got {name!r}"
+    with pytest.raises(ScenarioError, match=r"^run\.name: must be a file name, got ''$"):
+        replace(parse_scenario(MINIMAL), name="")
+
+
 def test_apply_parameter_r_max_guards_diag_radius():
     s = parse_scenario(SUPERCRITICAL)
     with pytest.raises(ScenarioError, match="diag_radius"):
