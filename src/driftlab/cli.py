@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import lab
-from .scenario import SWEEP_PARAMETERS, ScenarioError, parse_scenario
+from .scenario import SWEEP_PARAMETERS, ScenarioError, parse_scenario, read_sweep_value
 from .weights import classify
 
 
@@ -50,17 +50,8 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_values(parameter: str, raw: str):
-    cast = SWEEP_PARAMETERS[parameter][3]
-    vals = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            vals.append(cast(tok))
-        except ValueError:
-            wanted = "an integer" if cast is int else "a number"
-            raise ScenarioError(f"--values: expected {wanted}, got {tok!r}") from None
+    vals = [read_sweep_value(parameter, tok, "--values")
+            for tok in map(str.strip, raw.split(",")) if tok]
     if not vals:
         raise ScenarioError("--values: empty list")
     return vals

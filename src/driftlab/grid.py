@@ -24,15 +24,19 @@ def unit_sphere_area(n_dim: int) -> float:
 
     For the integer dimensions used here Gamma(n/2) is evaluated by the exact
     factorial / double-factorial recursion; non-integer input falls back to
-    math.gamma (a Lanczos-type implementation).
+    math.gamma (a Lanczos-type implementation).  Where a factor passes the
+    double range (odd n >= 173, even n >= 344) the area is formed in logs.
     """
     if n_dim < 1:
         raise ValueError(f"dimension must be >= 1, got {n_dim}")
-    if float(n_dim).is_integer():
-        g = gamma_half_integer(int(n_dim))
-    else:
-        g = math.gamma(n_dim / 2.0)
-    return 2.0 * math.pi ** (n_dim / 2.0) / g
+    try:
+        if float(n_dim).is_integer():
+            g = gamma_half_integer(int(n_dim))
+        else:
+            g = math.gamma(n_dim / 2.0)
+        return 2.0 * math.pi ** (n_dim / 2.0) / g
+    except OverflowError:
+        return math.exp(math.log(2.0) + n_dim / 2.0 * math.log(math.pi) - math.lgamma(n_dim / 2.0))
 
 
 @dataclass(frozen=True)

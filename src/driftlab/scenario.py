@@ -14,8 +14,14 @@ Schema (key = value, one section per bracket):
                outer_bc = neumann|dirichlet_frozen, snapshot_stride
     [run]      t_end, diag_radius, name
 
-Omitted solver/domain/run keys fall back to the defaults below.  Validation
-failures raise ScenarioError naming the offending section.key.
+DOCUMENT states each key once: its reader, the constructor keyword it fills
+and its default, or REQUIRED; an omitted key without a default keeps the
+constructor's own.  A refused value, a missing or unknown key and a broken
+cross-field rule raise ScenarioError prefixed "section.key: ".  A component's
+own range error names only its section ("solver: theta must lie in [0, 1],
+got 1.5"; "domain: need at least 3 nodes, got 2"), or section.key where one
+key gives all the component reads (profile.samples, initial.sigma,
+initial.samples).
 """
 
 from __future__ import annotations
@@ -33,27 +39,12 @@ from .profiles import (DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, 
                        tabulated_samples)
 from .solver import ADVECTION_MODES, OUTER_BCS, SolverConfig, operator_diagonals, step_plan
 
-DEFAULT_R_MAX = 20.0
-DEFAULT_NUM_NODES = 2001
-DEFAULT_DT = 1e-3
-DEFAULT_THETA = 0.5
-DEFAULT_ADVECTION = "centered"
-DEFAULT_OUTER_BC = "dirichlet_frozen"
-DEFAULT_SNAPSHOT_STRIDE = 100
-DEFAULT_T_END = 1.0
 FRAME_STORE_BUDGET = 2**30  # bytes of the (frames x nodes) block a solve may allocate
-
-_SECTIONS = {
-    "profile": {"kind", "a", "beta", "alpha", "r0", "samples"},
-    "domain": {"n", "r_max", "num_nodes"},
-    "initial": {"kind", "sigma", "samples", "file"},
-    "solver": {"dt", "theta", "advection", "outer_bc", "snapshot_stride"},
-    "run": {"t_end", "diag_radius", "name"},
-}
 
 
 class ScenarioError(ValueError):
-    """A scenario document failed validation; the message names section.key."""
+    """A scenario document failed validation; the message names section.key or, for a
+    component's own range error, the section."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +85,11 @@ class Scenario:
         return self.grid.n_dim
 
     def __post_init__(self):
+        try:  # the quadrature weights carry r^(n-1) out to r_max
+            float(self.grid.r_max) ** (self.n_dim - 1)
+        except OverflowError:
+            raise ScenarioError(f"domain.n: r_max^(n-1) = {self.grid.r_max:g}^{self.n_dim - 1} "
+                                f"exceeds the double range") from None
         # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
         # the implicit matrix is then no M-matrix and positivity is not guaranteed.
         if self.solver.advection == "centered" and self.n_dim >= 4:
@@ -147,130 +143,152 @@ class Scenario:
         return self.initial.field(self.grid)
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> dict:
-    if not cp.has_section(name):
-        return {}
-    return {k.lower(): v for k, v in cp.items(name)}
-
-
-def _reject_unknown(values: dict, section: str):
-    for key in values:
-        if key not in _SECTIONS[section]:
-            raise ScenarioError(
-                f"{section}.{key}: unknown key (allowed: {', '.join(sorted(_SECTIONS[section]))})"
-            )
-
-
-def _require(values: dict, section: str, key: str) -> str:
-    if key not in values:
-        raise ScenarioError(f"{section}.{key}: missing required key")
-    return values[key]
-
-
-def _num(section: str, key: str, raw: str) -> float:
+def _number(raw) -> float:
     try:
         out = float(raw)
     except ValueError:
-        raise ScenarioError(f"{section}.{key}: expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    except OverflowError:  # an int past the double range
+        out = math.inf
     if not math.isfinite(out):
-        raise ScenarioError(f"{section}.{key}: expected a finite number, got {raw!r}")
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return out
 
 
-def _int(section: str, key: str, raw: str) -> int:
+def _integer(raw) -> int:
+    """An int from its text, or from a number that is one: 2.5 is refused, not truncated."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"{section}.{key}: expected an integer, got {raw!r}") from None
+        out = int(raw)
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or not isinstance(raw, str) and out != raw:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return out
 
 
-def _choice(section: str, key: str, raw: str, allowed: tuple) -> str:
-    val = raw.strip().lower()
-    if val not in allowed:
-        raise ScenarioError(f"{section}.{key}: must be one of {allowed}, got {raw!r}")
-    return val
+def _one_of(allowed):
+    def read(raw: str) -> str:
+        if raw.strip().lower() not in allowed:
+            raise ValueError(f"must be one of {tuple(allowed)}, got {raw!r}")
+        return raw.strip().lower()
+    return read
 
 
-def _samples(section: str, raw: str) -> tuple[list, list]:
+def _samples(raw: str) -> tuple[list, list]:
     """Split r:value pairs into radii and values; tabulated_samples checks them."""
     rs, vs = [], []
     for token in filter(None, map(str.strip, raw.replace("\n", ",").split(","))):
         try:
             r, v = map(float, token.split(":", 1))
         except ValueError:
-            raise ScenarioError(f"{section}.samples: expected r:value pairs of numbers, "
-                                f"got {token!r}") from None
+            raise ValueError(f"expected r:value pairs of numbers, got {token!r}") from None
         rs.append(r)
         vs.append(v)
     return rs, vs
 
 
-def _build_profile(values: dict, n_dim: int) -> DriftProfile:
-    kind = _choice("profile", "kind", _require(values, "profile", "kind"),
-                   ("powerlaw", "logcorrected", "linear", "zero", "tabulated"))
-    used = {"kind"}
+def _csv_file(path: str) -> tuple:
+    """The r,u columns of a numeric CSV file."""
     try:
-        if kind == "powerlaw":
-            used |= {"a", "beta", "r0"}
-            prof = PowerLaw(
-                amplitude=_num("profile", "A", _require(values, "profile", "a")),
-                exponent=_num("profile", "beta", _require(values, "profile", "beta")),
-                r0=_num("profile", "r0", values.get("r0", "1.0")),
-            )
-        elif kind == "logcorrected":
-            used |= {"alpha", "r0"}
-            prof = LogCorrected(
-                n_dim=n_dim,
-                alpha=_num("profile", "alpha", _require(values, "profile", "alpha")),
-                r0=_num("profile", "r0", values.get("r0", repr(math.e))),
-            )
-        elif kind == "linear":
-            prof = Linear()
-        elif kind == "zero":
-            prof = Zero()
-        else:
-            used |= {"samples"}
-            prof = Tabulated(*_samples("profile", _require(values, "profile", "samples")))
-    except ScenarioError:
-        raise
-    except ValueError as exc:  # a tabulated profile fails only on its samples
-        raise ScenarioError(f"profile{'.samples' if kind == 'tabulated' else ''}: {exc}") from exc
-    stray = set(values) - used
-    if stray:
-        raise ScenarioError(f"profile.{sorted(stray)[0]}: not a parameter of kind {kind!r}")
-    return prof
-
-
-def _build_initial(values: dict, n_dim: int) -> GaussianData | TabulatedInitial:
-    kind = _choice("initial", "kind", _require(values, "initial", "kind"),
-                   ("gaussian", "tabulated"))
-    stray = set(values) - ({"kind", "sigma"} if kind == "gaussian" else {"kind", "samples", "file"})
-    if stray:
-        raise ScenarioError(f"initial.{sorted(stray)[0]}: not a {kind} parameter")
-    if kind == "gaussian":
-        sigma = _num("initial", "sigma", _require(values, "initial", "sigma"))
-        try:
-            return GaussianData(sigma=sigma, n_dim=n_dim)
-        except ValueError as exc:
-            raise ScenarioError(f"initial.sigma: {exc}") from exc
-    if "samples" in values:
-        rs, vs = _samples("initial", values["samples"])
-    elif "file" in values:
-        try:
-            data = np.loadtxt(values["file"], delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise ScenarioError(f"initial.file: cannot read {values['file']!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioError(f"initial.file: {values['file']!r} is not numeric CSV: {exc}") from exc
-        if data.shape[1] != 2:
-            raise ScenarioError("initial.file: expected two CSV columns r,u")
-        rs, vs = data[:, 0], data[:, 1]
-    else:
-        raise ScenarioError("initial.samples: missing required key (or initial.file)")
-    try:
-        return TabulatedInitial(rs, vs)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
     except ValueError as exc:
-        raise ScenarioError(f"initial.samples: {exc}") from exc
+        raise ValueError(f"{path!r} is not numeric CSV: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ValueError("expected two CSV columns r,u")
+    return data[:, 0], data[:, 1]
+
+
+REQUIRED = object()  # the default of a key that the document must give
+
+# The document.  A section maps to (constructor, keys), or, when it has a kind key, each
+# kind to one.  A key maps to (constructor keyword, reader, default); a None default
+# leaves the constructor's own.  A kind whose constructor is in CARRY_DIMENSION is also
+# given the grid's n_dim.
+DOCUMENT = {
+    "profile": {
+        "powerlaw": (PowerLaw, {"A": ("amplitude", _number, REQUIRED),
+                                "beta": ("exponent", _number, REQUIRED),
+                                "r0": ("r0", _number, None)}),
+        "logcorrected": (LogCorrected, {"alpha": ("alpha", _number, REQUIRED),
+                                        "r0": ("r0", _number, None)}),
+        "linear": (Linear, {}),
+        "zero": (Zero, {}),
+        "tabulated": (lambda samples: Tabulated(*samples),
+                      {"samples": ("samples", _samples, REQUIRED)}),
+    },
+    "domain": (RadialGrid, {"n": ("n_dim", _integer, REQUIRED),
+                            "r_max": ("r_max", _number, 20.0),
+                            "num_nodes": ("num_nodes", _integer, 2001)}),
+    "initial": {
+        "gaussian": (GaussianData, {"sigma": ("sigma", _number, REQUIRED)}),
+        # both keys give the samples; samples wins when a document gives both
+        "tabulated": (lambda samples: TabulatedInitial(*samples),
+                      {"samples": ("samples", _samples, REQUIRED),
+                       "file": ("samples", _csv_file, None)}),
+    },
+    "solver": (SolverConfig, {"dt": ("dt", _number, 1e-3),
+                              "theta": ("theta", _number, None),
+                              "advection": ("advection", _one_of(ADVECTION_MODES), None),
+                              "outer_bc": ("outer_bc", _one_of(OUTER_BCS), None),
+                              "snapshot_stride": ("snapshot_stride", _integer, 100)}),
+    # a blank name falls back to the document's; diag_radius defaults to 0.8 r_max
+    "run": (Scenario, {"name": ("name", str.strip, None),
+                       "t_end": ("t_end", _number, 1.0),
+                       "diag_radius": ("diag_radius", _number, None)}),
+}
+CARRY_DIMENSION = (LogCorrected, GaussianData)
+
+
+def _tables(section: str) -> list:
+    """The (constructor, keys) pairs of a section: one per kind, or its own."""
+    entry = DOCUMENT[section]
+    return list(entry.values()) if isinstance(entry, dict) else [entry]
+
+
+def _read(label: str, read, *args, **kwargs):
+    """read(*args, **kwargs); a ValueError it raises becomes a ScenarioError prefixed with
+    label, the one place a message gets its section.key (or section) prefix."""
+    try:
+        return read(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{label}: {exc}") from exc
+
+
+def _fields(section: str, keys: dict, values: dict) -> dict:
+    """Constructor keywords from a section's values: each given key read, each omitted
+    one defaulted; a keyword that two keys give takes the first one in the table."""
+    out = {}
+    for key, (field, read, default) in keys.items():
+        peers = [k for k, spec in keys.items() if spec[0] == field]  # keys giving this keyword
+        if key.lower() in values:
+            out.setdefault(field, _read(f"{section}.{key}", read, values[key.lower()]))
+        elif default is REQUIRED and not any(k.lower() in values for k in peers):
+            raise ScenarioError(f"{section}.{key}: missing required key"
+                                + "".join(f" (or {section}.{k})" for k in peers if k != key))
+        elif default not in (REQUIRED, None):
+            out[field] = default
+    return out
+
+
+def _build(section: str, values: dict, n_dim: int | None = None):
+    """The section's component.  Its own range errors name the section, or section.key
+    when one document value gives all it reads."""
+    if isinstance(DOCUMENT[section], dict):
+        kind = _fields(section, {"kind": ("kind", _one_of(DOCUMENT[section]), REQUIRED)},
+                       values)["kind"]
+        make, keys = DOCUMENT[section][kind]
+        stray = sorted(values.keys() - {"kind", *map(str.lower, keys)})
+        if stray:
+            raise ScenarioError(f"{section}.{stray[0]}: not a parameter of kind {kind!r}")
+    else:
+        make, keys = DOCUMENT[section]
+    fields = _fields(section, keys, values)
+    if make in CARRY_DIMENSION:
+        fields["n_dim"] = n_dim
+    one_value = len({spec[0] for spec in keys.values()}) == 1
+    return _read(f"{section}.{next(iter(keys))}" if one_value else section, make, **fields)
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -281,73 +299,51 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"malformed config document: {exc}") from exc
-
+    doc = {}
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in DOCUMENT:
             raise ScenarioError(
-                f"unknown section [{section}] (allowed: {', '.join(sorted(_SECTIONS))})"
+                f"unknown section [{section}] (allowed: {', '.join(sorted(DOCUMENT))})"
             )
+        allowed = {k.lower() for _, keys in _tables(section) for k in keys}
+        if isinstance(DOCUMENT[section], dict):
+            allowed.add("kind")
+        doc[section] = {k.lower(): v for k, v in cp.items(section)}
+        for key in doc[section]:
+            if key not in allowed:
+                raise ScenarioError(
+                    f"{section}.{key}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
-    profile_v = _section(cp, "profile")
-    domain_v = _section(cp, "domain")
-    initial_v = _section(cp, "initial")
-    solver_v = _section(cp, "solver")
-    run_v = _section(cp, "run")
-    for sec, vals in (("profile", profile_v), ("domain", domain_v), ("initial", initial_v),
-                      ("solver", solver_v), ("run", run_v)):
-        _reject_unknown(vals, sec)
-
-    if not profile_v:
-        raise ScenarioError("profile.kind: missing required key")
-    n_dim = _int("domain", "n", _require(domain_v, "domain", "n"))
-    r_max = _num("domain", "r_max", domain_v.get("r_max", repr(DEFAULT_R_MAX)))
-    num_nodes = _int("domain", "num_nodes", domain_v.get("num_nodes", str(DEFAULT_NUM_NODES)))
-    try:
-        grid = RadialGrid(r_max=r_max, num_nodes=num_nodes, n_dim=n_dim)
-    except ValueError as exc:
-        raise ScenarioError(f"domain: {exc}") from exc
-
-    profile = _build_profile(profile_v, n_dim)
-    if not initial_v:
-        raise ScenarioError("initial.kind: missing required key")
-    initial = _build_initial(initial_v, n_dim)
-
-    try:
-        solver = SolverConfig(
-            dt=_num("solver", "dt", solver_v.get("dt", repr(DEFAULT_DT))),
-            theta=_num("solver", "theta", solver_v.get("theta", repr(DEFAULT_THETA))),
-            advection=_choice("solver", "advection", solver_v.get("advection", DEFAULT_ADVECTION),
-                              ADVECTION_MODES),
-            outer_bc=_choice("solver", "outer_bc", solver_v.get("outer_bc", DEFAULT_OUTER_BC),
-                             OUTER_BCS),
-            snapshot_stride=_int("solver", "snapshot_stride",
-                                 solver_v.get("snapshot_stride", str(DEFAULT_SNAPSHOT_STRIDE))),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"solver: {exc}") from exc
-
-    return Scenario(
-        name=run_v.get("name", name).strip() or name,
-        profile=profile,
-        initial=initial,
-        grid=grid,
-        solver=solver,
-        t_end=_num("run", "t_end", run_v.get("t_end", repr(DEFAULT_T_END))),
-        diag_radius=_num("run", "diag_radius", run_v.get("diag_radius", repr(0.8 * r_max))),
-    )
+    grid = _build("domain", doc.get("domain", {}))
+    profile = _build("profile", doc.get("profile", {}), grid.n_dim)
+    initial = _build("initial", doc.get("initial", {}), grid.n_dim)
+    solver = _build("solver", doc.get("solver", {}))
+    run = {"diag_radius": 0.8 * grid.r_max} | _fields("run", DOCUMENT["run"][1],
+                                                      doc.get("run", {}))
+    run["name"] = run.get("name") or name
+    return Scenario(profile=profile, initial=initial, grid=grid, solver=solver, **run)
 
 
-# sweep parameter -> (Scenario field, component field, component type it needs, value type)
+# sweep parameter -> (Scenario field, component field, component type it needs); a value is
+# read by the reader of the document key that gives that component field
 SWEEP_PARAMETERS = {
-    "A": ("profile", "amplitude", PowerLaw, float),
-    "beta": ("profile", "exponent", PowerLaw, float),
-    "alpha": ("profile", "alpha", LogCorrected, float),
-    "sigma": ("initial", "sigma", GaussianData, float),
-    "n_dim": ("grid", "n_dim", RadialGrid, int),
-    "r_max": ("grid", "r_max", RadialGrid, float),
-    "num_nodes": ("grid", "num_nodes", RadialGrid, int),
-    "dt": ("solver", "dt", SolverConfig, float),
+    "A": ("profile", "amplitude", PowerLaw),
+    "beta": ("profile", "exponent", PowerLaw),
+    "alpha": ("profile", "alpha", LogCorrected),
+    "sigma": ("initial", "sigma", GaussianData),
+    "n_dim": ("grid", "n_dim", RadialGrid),
+    "r_max": ("grid", "r_max", RadialGrid),
+    "num_nodes": ("grid", "num_nodes", RadialGrid),
+    "dt": ("solver", "dt", SolverConfig),
 }
+
+
+def read_sweep_value(parameter: str, raw, label: str):
+    """A sweep value, read from text or a number as the document reads its key."""
+    _, field_name, kind = SWEEP_PARAMETERS[parameter]
+    read = next(spec[1] for section in DOCUMENT for make, keys in _tables(section)
+                if make is kind for spec in keys.values() if spec[0] == field_name)
+    return _read(label, read, raw)
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
@@ -355,14 +351,15 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     if parameter not in SWEEP_PARAMETERS:
         raise ScenarioError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}, "
                             f"got {parameter!r}")
-    part, field_name, kind, cast = SWEEP_PARAMETERS[parameter]
+    part, field_name, kind = SWEEP_PARAMETERS[parameter]
     component = getattr(scenario, part)
     if not isinstance(component, kind):
         raise ScenarioError(f"parameter {parameter!r} requires a {kind.__name__} {part}, "
                             f"got {type(component).__name__}")
-    changes = {part: replace(component, **{field_name: cast(value)})}
+    value = read_sweep_value(parameter, value, f"parameter {parameter!r}")
+    changes = {part: replace(component, **{field_name: value})}
     if parameter == "n_dim":  # a log-corrected drift and a Gaussian datum carry it too
         for other in ("profile", "initial"):
-            if isinstance(getattr(scenario, other), (LogCorrected, GaussianData)):
-                changes[other] = replace(getattr(scenario, other), n_dim=cast(value))
+            if isinstance(getattr(scenario, other), CARRY_DIMENSION):
+                changes[other] = replace(getattr(scenario, other), n_dim=value)
     return replace(scenario, **changes)

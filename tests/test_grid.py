@@ -20,6 +20,17 @@ def test_unit_sphere_area_matches_gamma_formula():
         assert unit_sphere_area(n) == pytest.approx(expected, rel=1e-14)
 
 
+def test_unit_sphere_area_is_finite_past_the_factorial_range():
+    # Gamma(n/2) overflows a double from odd n = 173 and even n = 344; the area does not
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for n in (172, 173, 175, 343, 344, 345, 1000, 1001, 2500.5):
+        half = mpmath.mpf(n) / 2
+        expected = float(2 * mpmath.pi**half / mpmath.gamma(half))
+        assert unit_sphere_area(n) == pytest.approx(expected, rel=1e-12), n
+    assert unit_sphere_area(10**6) == 0.0  # below the smallest double
+
+
 def test_grid_nodes_uniform():
     g = RadialGrid(2.0, 5, 2)
     assert g.spacing == pytest.approx(0.5)

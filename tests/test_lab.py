@@ -641,6 +641,14 @@ def test_cli_sweep_integer_parameter_asks_for_an_integer(tmp_path, capsys):
     assert "--values: expected an integer, got '2.5'" in capsys.readouterr().err
 
 
+def test_cli_sweep_values_are_read_as_the_document_reads_the_key(tmp_path, capsys):
+    # r_max = inf would otherwise reach RadialGrid and fail inside the row
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
+    for token in ("inf", "nan", "-inf"):
+        assert cli.main(["sweep", cfg, "--param", "r_max", "--values", f"50,{token}"]) == 2
+        assert f"--values: expected a finite number, got '{token}'" in capsys.readouterr().err
+
+
 def test_cli_sweep_accepts_negative_values(tmp_path, capsys):
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
     for argv in (["--values", "-0.5,-0.8"], ["--values=-0.5,-0.8"]):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from driftlab import lab
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
-from driftlab.scenario import ScenarioError, TabulatedInitial, apply_parameter, parse_scenario
+from driftlab.scenario import (DOCUMENT, ScenarioError, TabulatedInitial, apply_parameter,
+                                parse_scenario)
 
 MINIMAL = """
 [profile]
@@ -94,6 +95,64 @@ def test_missing_required_keys_are_named():
         parse_scenario("[profile]\nkind = zero\n\n[domain]\nn = 2\n\n[initial]\nkind = gaussian\n")
     with pytest.raises(ScenarioError, match=r"profile\.beta"):
         parse_scenario(MINIMAL.replace("kind = zero", "kind = powerlaw\nA = 1"))
+
+
+# (section, kind, key) -> a value its reader or its component refuses
+BAD_VALUES = {
+    ("profile", None, "kind"): "vortex",
+    ("profile", "powerlaw", "A"): "three",
+    ("profile", "powerlaw", "beta"): "inf",
+    ("profile", "powerlaw", "r0"): "near",
+    ("profile", "logcorrected", "alpha"): "x",
+    ("profile", "logcorrected", "r0"): "nan",
+    ("profile", "tabulated", "samples"): "0:0, 20:x",
+    ("domain", None, "n"): "2.5",
+    ("domain", None, "r_max"): "far",
+    ("domain", None, "num_nodes"): "1e3",
+    ("initial", None, "kind"): "box",
+    ("initial", "gaussian", "sigma"): "wide",
+    ("initial", "tabulated", "samples"): "0:1, 20",
+    ("initial", "tabulated", "file"): "{tmp}/missing.csv",
+    ("solver", None, "dt"): "abc",
+    ("solver", None, "theta"): "half",
+    ("solver", None, "advection"): "weno",
+    ("solver", None, "outer_bc"): "periodic",
+    ("solver", None, "snapshot_stride"): "2.5",
+    ("run", None, "name"): "../escaped",
+    ("run", None, "t_end"): "soon",
+    ("run", None, "diag_radius"): "x",
+}
+# the other keys a kind needs, so that only the bad one fails
+KIND_KEYS = {
+    ("profile", "powerlaw"): {"kind": "powerlaw", "A": "1", "beta": "-1"},
+    ("profile", "logcorrected"): {"kind": "logcorrected", "alpha": "1"},
+    ("profile", "tabulated"): {"kind": "tabulated", "samples": "0:0, 20:1"},
+    ("initial", "gaussian"): {"kind": "gaussian", "sigma": "1"},
+    ("initial", "tabulated"): {"kind": "tabulated"},
+}
+
+
+def _document_keys():
+    for section, entry in DOCUMENT.items():
+        if isinstance(entry, dict):
+            yield section, None, "kind"
+        for kind, (_, keys) in entry.items() if isinstance(entry, dict) else [(None, entry)]:
+            yield from ((section, kind, key) for key in keys)
+
+
+@pytest.mark.parametrize("section, kind, key", list(_document_keys()))
+def test_each_bad_value_names_its_section_key_once(section, kind, key, tmp_path):
+    doc = {"profile": {"kind": "zero"}, "domain": {"n": "2"},
+           "initial": {"kind": "gaussian", "sigma": "1"}}
+    doc[section] = KIND_KEYS.get((section, kind), doc.get(section, {})) | {
+        key: BAD_VALUES[section, kind, key].format(tmp=tmp_path)}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in doc.items())
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    message = str(exc.value)
+    assert message.startswith(f"{section}.{key}: "), message
+    assert len(re.findall(r"\b(?:profile|domain|initial|solver|run)\.", message)) == 1, message
 
 
 def test_unknown_profile_kind():
@@ -349,6 +408,20 @@ def test_sweep_parameter_on_the_wrong_component_names_the_parameter(parameter):
     assert str(exc.value) == f"parameter {parameter!r} requires a {needed}, got {got}"
 
 
+@pytest.mark.parametrize("parameter, value, message", [
+    ("num_nodes", 400.7, "expected an integer, got 400.7"),
+    ("n_dim", 2.9, "expected an integer, got 2.9"),
+    ("n_dim", math.inf, "expected an integer, got inf"),
+    ("r_max", math.inf, "expected a finite number, got inf"),
+    ("dt", math.nan, "expected a finite number, got nan"),
+])
+def test_sweep_values_are_read_as_the_document_reads_the_key(parameter, value, message):
+    # a value the parameter's cast would change, or a non-finite one, is no sweep value
+    with pytest.raises(ScenarioError) as exc:
+        apply_parameter(parse_scenario(MINIMAL), parameter, value)
+    assert str(exc.value) == f"parameter {parameter!r}: {message}"
+
+
 def test_run_name_must_be_a_file_name():
     # the name is a directory under --out: it must not leave it
     for name in ("../escaped", "runs/a", ".", ".."):
@@ -416,6 +489,18 @@ def test_unstable_theta_scheme_is_rejected_before_any_step():
         warnings.simplefilter("error")
         report = lab.run(stable)
     assert report.invariants["positivity"]
+
+
+def test_the_grid_radius_power_must_be_a_double():
+    # the quadrature weights carry r^(n-1): 20^235 is a double, 20^237 is not
+    big = MINIMAL.replace("n = 2", "n = {n}") + "\n[solver]\nadvection = upwind\n"
+    for n in (172, 236):
+        assert parse_scenario(big.format(n=n)).n_dim == n
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(big.format(n=238))
+    assert str(exc.value) == "domain.n: r_max^(n-1) = 20^237 exceeds the double range"
+    with pytest.raises(ScenarioError, match=r"^domain\.n: "):
+        apply_parameter(parse_scenario(big.format(n=236)), "n_dim", 300)
 
 
 def _sample_list(draw, r_max, values, first):
@@ -494,6 +579,12 @@ snapshot_stride = 1
 t_end = 18.75
 """
 
+# dimensions past the factorial range of Gamma(n/2) (n = 173) and past the double range of
+# r_max^(n-1) at r_max = 20 (n = 238, 300)
+LARGE_DIMENSIONS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nodes = 51") + (
+    "\n[solver]\ntheta = 1\nadvection = upwind\n\n[run]\nt_end = 0.05\n")
+    for n, r_max in ((173, 5), (238, 20), (300, 20))]
+
 
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
@@ -503,6 +594,9 @@ t_end = 18.75
 @example(TINY_AMPLITUDES[1])
 @example(FAR_DATUM)
 @example(CONSTANT_DATUM)
+@example(LARGE_DIMENSIONS[0])
+@example(LARGE_DIMENSIONS[1])
+@example(LARGE_DIMENSIONS[2])
 def test_accepted_documents_run_and_keep_the_certified_guarantees(doc):
     # what parse_scenario accepts, run completes without a warning; the certified
     # scheme (backward Euler, upwind) never reports a broken discrete guarantee
