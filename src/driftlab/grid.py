@@ -22,21 +22,22 @@ def gamma_half_integer(two_a: int) -> float:
 def unit_sphere_area(n_dim: int) -> float:
     """Surface area of the unit sphere in n dimensions: 2 pi^{n/2} / Gamma(n/2).
 
-    For the integer dimensions used here Gamma(n/2) is evaluated by the exact
-    factorial / double-factorial recursion; non-integer input falls back to
-    math.gamma (a Lanczos-type implementation).  Where a factor passes the
-    double range (odd n >= 173, even n >= 344) the area is formed in logs.
+    For the integer dimensions whose Gamma(n/2) and its recursion's factorials are
+    doubles (odd n <= 171, even n <= 342) it is evaluated by the exact factorial /
+    double-factorial recursion; other input takes math.gamma (a Lanczos-type
+    implementation).  Past the double range (integer n beyond those, non-integer
+    n > 343) the area is formed in logs, without forming a factorial.
     """
     if n_dim < 1:
         raise ValueError(f"dimension must be >= 1, got {n_dim}")
-    try:
-        if float(n_dim).is_integer():
-            g = gamma_half_integer(int(n_dim))
-        else:
-            g = math.gamma(n_dim / 2.0)
-        return 2.0 * math.pi ** (n_dim / 2.0) / g
-    except OverflowError:
-        return math.exp(math.log(2.0) + n_dim / 2.0 * math.log(math.pi) - math.lgamma(n_dim / 2.0))
+    integer = float(n_dim).is_integer()
+    if not integer or n_dim <= (342 if n_dim % 2 == 0 else 171):
+        try:
+            g = gamma_half_integer(int(n_dim)) if integer else math.gamma(n_dim / 2.0)
+            return 2.0 * math.pi ** (n_dim / 2.0) / g
+        except OverflowError:
+            pass
+    return math.exp(math.log(2.0) + n_dim / 2.0 * math.log(math.pi) - math.lgamma(n_dim / 2.0))
 
 
 @dataclass(frozen=True)

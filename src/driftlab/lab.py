@@ -62,12 +62,12 @@ def _fmt(x: float) -> str:
 
 
 def write_frames_csv(path, traj: Trajectory) -> None:
-    rs = [_fmt(ri) for ri in traj.grid.nodes.tolist()]
+    # one line "t,r,u" per node, formatted with one %-operation per frame; "\0" stands for t
+    template = "".join(f"\0,{_fmt(ri)},%.17g\n" for ri in traj.grid.nodes.tolist())
     with open(path, "w") as fh:
         fh.write("t,r,u\n")
         for t, row in zip(traj.times.tolist(), traj.values):
-            ts = _fmt(t)
-            fh.writelines(f"{ts},{ri},{ui:.17g}\n" for ri, ui in zip(rs, row.tolist()))
+            fh.write(template.replace("\0", _fmt(t)) % tuple(row.tolist()))
 
 
 def write_diagnostics_csv(path, series: DiagnosticSeries) -> None:

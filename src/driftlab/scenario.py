@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid
+from .grid import RadialField, RadialGrid, unit_sphere_area
 from .oracles import GaussianData
 from .profiles import (DriftProfile, Linear, LogCorrected, PowerLaw, Tabulated, Zero,
                        tabulated_samples)
@@ -85,11 +85,19 @@ class Scenario:
         return self.grid.n_dim
 
     def __post_init__(self):
-        try:  # the quadrature weights carry r^(n-1) out to r_max
-            float(self.grid.r_max) ** (self.n_dim - 1)
+        try:  # the quadrature weights carry |S^(n-1)| r^(n-1) out to r_max
+            power = float(self.grid.r_max) ** (self.n_dim - 1)
         except OverflowError:
             raise ScenarioError(f"domain.n: r_max^(n-1) = {self.grid.r_max:g}^{self.n_dim - 1} "
                                 f"exceeds the double range") from None
+        # a subnormal area carries fewer digits into every weight (16% off at n = 455)
+        area = unit_sphere_area(self.n_dim)
+        weight = area * power
+        tiny = np.finfo(float).tiny  # the least normal double
+        if not (tiny <= area and tiny <= weight < math.inf):
+            raise ScenarioError(f"domain.n: |S^(n-1)| = {area:g} and the outer weight "
+                                f"|S^(n-1)| r_max^(n-1) = {weight:g} at n = {self.n_dim} "
+                                f"must be normal doubles")
         # Centered row 1 has lower = (1 - (n-1)/2)/h^2 + psi/(2h), negative for n >= 4:
         # the implicit matrix is then no M-matrix and positivity is not guaranteed.
         if self.solver.advection == "centered" and self.n_dim >= 4:

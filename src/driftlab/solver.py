@@ -23,7 +23,17 @@ through a symmetric LDL^T factorization (LAPACK dpttrf, one dpttrs per step),
 a frozen outer node entering as a constant lift on the row before it.  Every
 other operator (a zero or negative coupling, or scales spanning more than
 MAX_LOG_SCALE_RANGE) is stepped on u itself through LU with partial pivoting
-(dgttrf, one dgttrs per step).  With theta = 1 and upwind advection the
+(dgttrf, one dgttrs per step).  Either way the solve is the only matrix work of a
+step: with A = I - theta*dt*L the explicit half is (I - (1-theta)*A)/theta, so for
+1/2 <= theta < 1
+
+    u_new = A^-1 (u_old/theta + lift) - ((1-theta)/theta) u_old,
+
+at theta = 1/2 (Crank-Nicolson) 2 A^-1 (u_old + lift/2) - u_old with an exact doubling.
+Below 1/2 the explicit half is multiplied out before the solve: theta = 0 has no solve
+to fold it into, and the factor (1-theta)/theta would amplify rounding.  On the general
+path, whose system keeps a frozen node, the node stays exactly frozen at theta = 1/2
+and 1, and within a few ulps at other theta.  With theta = 1 and upwind advection the
 implicit matrix is an M-matrix with unit row sums, so the update is a convex
 combination of old node values: new values stay inside [min u_old, max u_old],
 non-negativity and radial monotonicity are preserved exactly (up to roundoff).
@@ -215,9 +225,10 @@ def _log_scales(lo, up, m):
 class _ThetaStepper:
     """Theta-scheme for one fixed dt, factored once.
 
-    state(u) is the vector the steps act on, advance(x) performs one step in
-    place and field(x) reads u back; kernel names the factorization, "ldlt"
-    (dpttrf on the symmetrized system) or "lu" (dgttrf on L itself).
+    state(u) is the vector the steps act on, advance(x) returns the next one (in
+    x's memory or in the state before x's) and field(x) reads u back; kernel names
+    the factorization, "ldlt" (dpttrf on the symmetrized system) or "lu" (dgttrf on
+    L itself).
     """
 
     def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
@@ -245,12 +256,15 @@ class _ThetaStepper:
             if info > 0:
                 raise SolverError(f"implicit system not positive definite at row {info}")
             self._solve = dpttrs
-        self._explicit = None
-        if theta < 1.0:
+        self._theta = theta
+        if 0.5 <= theta < 1.0:
+            # the explicit half folded into the solve (see the module docstring)
+            self._fold = (1.0 - theta) / theta
+        elif theta < 0.5:
             w = (1.0 - theta) * dt
             self._explicit = (w * lower, w * d, w * upper)
-            self._rhs = np.empty(len(d))
             self._off = np.empty(len(d) - 1)
+        self._buffer = np.empty(len(d)) if theta < 1.0 else None
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """A fresh copy of u for the steps to act on: y = u/s without the frozen node on the
@@ -269,20 +283,29 @@ class _ThetaStepper:
         return np.concatenate((self._scale * x, self._outer))
 
     def advance(self, x: np.ndarray) -> np.ndarray:
-        if self._explicit is None:
+        theta = self._theta
+        if theta == 1.0:
             rhs = x
         else:
-            # x + apply_tridiagonal(w*lo, w*d, w*up, x), same operation order, no allocation
-            lo, d, up = self._explicit
-            rhs, off = self._rhs, self._off
-            np.multiply(d, x, out=rhs)
-            rhs[1:] += np.multiply(lo, x[:-1], out=off)
-            rhs[:-1] += np.multiply(up, x[1:], out=off)
-            np.add(x, rhs, out=rhs)
-            self._rhs = x  # the old state is the next step's buffer
+            rhs, self._buffer = self._buffer, x  # the old state is the next step's buffer
+            if theta >= 0.5:
+                np.multiply(x, 1.0 / theta, out=rhs)
+            else:
+                # x + apply_tridiagonal(w*lo, w*d, w*up, x), same operation order, no allocation
+                lo, d, up = self._explicit
+                off = self._off
+                np.multiply(d, x, out=rhs)
+                rhs[1:] += np.multiply(lo, x[:-1], out=off)
+                rhs[:-1] += np.multiply(up, x[1:], out=off)
+                np.add(x, rhs, out=rhs)
         if self._lift:
             rhs[-1] += self._lift
-        return self._solve(*self._factors, rhs, overwrite_b=1)[0]
+        new = self._solve(*self._factors, rhs, overwrite_b=1)[0]
+        if 0.5 <= theta < 1.0:
+            if self._fold != 1.0:
+                x *= self._fold
+            new -= x
+        return new
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:

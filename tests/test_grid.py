@@ -31,6 +31,17 @@ def test_unit_sphere_area_is_finite_past_the_factorial_range():
     assert unit_sphere_area(10**6) == 0.0  # below the smallest double
 
 
+def test_unit_sphere_area_past_the_factorial_range_forms_no_factorial(monkeypatch):
+    from driftlab import grid
+
+    def refuse(two_a):
+        raise AssertionError(f"factorial recursion for n = {two_a}")
+
+    monkeypatch.setattr(grid, "gamma_half_integer", refuse)
+    for n in (173, 344, 1001, 10**6, 4 * 10**6):
+        assert 0.0 <= unit_sphere_area(n) < 1e-80, n
+
+
 def test_grid_nodes_uniform():
     g = RadialGrid(2.0, 5, 2)
     assert g.spacing == pytest.approx(0.5)

@@ -162,6 +162,18 @@ def test_csv_floats_have_full_precision(tmp_path):
     assert float(last[2]) == report.final_sup  # round-trips exactly
 
 
+def test_frames_csv_matches_a_per_value_writer(tmp_path):
+    g = RadialGrid(3.0, 7, 2)
+    values = np.array([[1.0, -0.25, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300],
+                       [1 / 3, -7e-310, 0.0, 2.5e-320, -1.0, 0.1, -1e-300]])
+    traj = Trajectory(g, [0.0, 0.1 + 0.2], values, Zero(), SolverConfig(dt=0.3))
+    lab.write_frames_csv(tmp_path / "frames.csv", traj)
+    expected = "t,r,u\n" + "".join(f"{t:.17g},{r:.17g},{u:.17g}\n"
+                                   for t, row in zip(traj.times, values)
+                                   for r, u in zip(g.nodes, row))
+    assert (tmp_path / "frames.csv").read_bytes() == expected.encode()
+
+
 def test_sweep_amplitude_verdict_transition():
     s = parse_scenario(FAST_SUPERCRITICAL)
     result = lab.sweep(s, "A", [1.0, 2.0, 3.0])

@@ -503,6 +503,26 @@ def test_the_grid_radius_power_must_be_a_double():
         apply_parameter(parse_scenario(big.format(n=236)), "n_dim", 300)
 
 
+# |S^(n-1)| underflows from n = 439: to 0.0 at n = 1000 and 10^6, though 2^999 and 1^999999
+# are doubles
+UNDERFLOWING_WEIGHTS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nodes = 51") + (
+    "\n[solver]\ntheta = 1\nadvection = upwind\n\n[run]\nt_end = 0.05\n")
+    for n, r_max in ((1000, 2), (10**6, 1))]
+
+
+def test_the_outer_weight_must_be_a_normal_double():
+    for doc, n in zip(UNDERFLOWING_WEIGHTS, (1000, 10**6)):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == (f"domain.n: |S^(n-1)| = 0 and the outer weight |S^(n-1)| "
+                                  f"r_max^(n-1) = 0 at n = {n} must be normal doubles")
+    doc = UNDERFLOWING_WEIGHTS[1].replace("n = 1000000", "n = {n}")
+    assert parse_scenario(doc.format(n=438)).n_dim == 438  # |S^437| = 3.2e-308 is normal
+    for n, r_max, weight in ((439, 1, "3.79883e-309"), (455, 4, "1.06911e-50"), (300, 0.1, "0")):
+        with pytest.raises(ScenarioError, match=rf"r_max\^\(n-1\) = {weight} at n = {n} must"):
+            parse_scenario(doc.format(n=n).replace("r_max = 1\n", f"r_max = {r_max}\n"))
+
+
 def _sample_list(draw, r_max, values, first):
     """'0.0:v0, r1:v1, ..., r_max:vk' on strictly increasing radii; v0 from first."""
     inner = sorted(set(draw(st.lists(st.floats(0.05, 0.95), max_size=4))))
@@ -597,6 +617,8 @@ LARGE_DIMENSIONS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nod
 @example(LARGE_DIMENSIONS[0])
 @example(LARGE_DIMENSIONS[1])
 @example(LARGE_DIMENSIONS[2])
+@example(UNDERFLOWING_WEIGHTS[0])
+@example(UNDERFLOWING_WEIGHTS[1])
 def test_accepted_documents_run_and_keep_the_certified_guarantees(doc):
     # what parse_scenario accepts, run completes without a warning; the certified
     # scheme (backward Euler, upwind) never reports a broken discrete guarantee

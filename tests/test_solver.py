@@ -258,11 +258,14 @@ FRAME_LAYOUTS = [(1, 0.305, 30), (5, 0.305, 30), (5, 0.3, 30), (7, 0.305, 30), (
 
 
 # the symmetric path and the banded reference round differently: at most a few ulps of
-# max|u| per step, 3.2e-15 measured over FRAME_LAYOUTS' 31 steps
+# max|u| per step; measured over FRAME_LAYOUTS' 31 steps, 6.1e-15 at theta = 1/2,
+# 4.0e-15 at 0.75, 3.2e-15 at 1 and 1.4e-15 at 0.4
 SYMMETRIC_PATH_RTOL = 1e-14
 
 
-@pytest.mark.parametrize("theta,advection", [(0.5, "centered"), (1.0, "upwind")])
+# theta = 0.4 at dt = 1e-2 passes the Gershgorin bound: (1 - 2 theta) dt 4n/h^2 = 1.6 <= 2
+@pytest.mark.parametrize("theta,advection", [(0.5, "centered"), (1.0, "upwind"),
+                                             (0.75, "centered"), (0.4, "centered")])
 @pytest.mark.parametrize("outer_bc", ["dirichlet_frozen", "neumann"])
 def test_solve_matches_banded_reference_bitwise(theta, advection, outer_bc):
     # times bitwise; values to roundoff, since PowerLaw(3, -1) takes the symmetric path
@@ -285,18 +288,31 @@ GENERAL_PATH_CASES = [(Zero(), 3, 10.0, 101), (PowerLaw(50.0, 0.0), 2, 10.0, 51)
                       (Linear(), 2, 60.0, 6001)]
 
 
+# a Crank-Nicolson step folds its explicit half into the solve, 2 A^-1 x - x, where the
+# reference multiplies by I + dt/2 L: 1.72e-14 of max|u| measured on Linear() at 6001 nodes
+FOLDED_STEP_RTOL = 5e-14
+
+
 @pytest.mark.parametrize("profile,n_dim,r_max,nodes", GENERAL_PATH_CASES)
 @pytest.mark.parametrize("outer_bc", ["dirichlet_frozen", "neumann"])
 def test_general_path_matches_banded_reference_bitwise(profile, n_dim, r_max, nodes, outer_bc):
+    # times bitwise; values bitwise at theta = 1, to roundoff at theta = 1/2
     g = RadialGrid(r_max, nodes, n_dim)
     u0 = GaussianData(1.0, n_dim).field(g)
-    for stride, t_end, n_full in FRAME_LAYOUTS[:3]:
-        cfg = SolverConfig(dt=1e-2, theta=0.5, outer_bc=outer_bc, snapshot_stride=stride)
-        traj = solve(u0, profile, cfg, t_end)
-        times, values = _reference_solve(u0, profile, cfg, n_full, t_end)
-        assert traj.kernel == "lu"
-        assert np.array_equal(traj.times, times), (stride, t_end)
-        assert np.array_equal(traj.values, values), (stride, t_end)
+    for theta in (0.5, 1.0):
+        for stride, t_end, n_full in FRAME_LAYOUTS[:3]:
+            cfg = SolverConfig(dt=1e-2, theta=theta, outer_bc=outer_bc, snapshot_stride=stride)
+            traj = solve(u0, profile, cfg, t_end)
+            times, values = _reference_solve(u0, profile, cfg, n_full, t_end)
+            assert traj.kernel == "lu"
+            assert np.array_equal(traj.times, times), (theta, stride, t_end)
+            if theta == 1.0:
+                assert np.array_equal(traj.values, values), (stride, t_end)
+            else:
+                err = np.max(np.abs(traj.values - values)) / np.max(np.abs(values))
+                assert err <= FOLDED_STEP_RTOL, (stride, t_end, err)
+                if outer_bc == "dirichlet_frozen":  # the frozen node stays exactly frozen
+                    assert np.all(traj.values[:, -1] == u0.values[-1])
 
 
 def test_loaded_lapack_matches_scipy_linalg_bitwise():
@@ -355,6 +371,29 @@ def test_solve_factors_once_per_step_size(monkeypatch):
         calls.clear()
         solve(u0, Zero(), cfg, 0.205)  # shortened final step: its own factorization
         assert calls == [call, call]
+
+
+def test_crank_nicolson_makes_one_solve_per_step(monkeypatch):
+    calls = []
+
+    def counting(name, kernel_solve):
+        def solve_once(*args, **kwargs):
+            calls.append(name)
+            return kernel_solve(*args, **kwargs)
+        return solve_once
+
+    for name in ("dgttrs", "dpttrs"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    cfg = SolverConfig(dt=1e-2, theta=0.5, snapshot_stride=5)
+    # psi = 0 centered: the symmetric kernel in n = 2, the general one in n = 3
+    for n_dim, name, kernel in ((2, "dpttrs", "ldlt"), (3, "dgttrs", "lu")):
+        u0 = GaussianData(1.0, n_dim).field(_grid(n_dim=n_dim, nodes=51))
+        calls.clear()
+        assert solve(u0, Zero(), cfg, 0.2).kernel == kernel
+        assert calls == [name] * 20
+        calls.clear()
+        solve(u0, Zero(), cfg, 0.205)  # 20 full steps and a shortened final one
+        assert calls == [name] * 21
 
 
 def test_zero_pivot_raises_solver_error(monkeypatch):
