@@ -94,18 +94,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = lab.verify(args.suite)
-    summary = f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
-    if args.quiet:
-        # still emit the single-line summary so scripts can grep it
-        print(summary)
-    else:
-        for check in report.checks:
-            print(check.line())
-        print(f"{summary} ({report.elapsed_seconds:.1f}s)")
-    if args.out:
-        lab.write_json(Path(args.out) / f"verify_{report.suite}.json", report.to_dict())
-    return 0 if report.passed else 1
+    reports = lab.verify(*(lab.suite_names() if "all" in args.suite else args.suite))
+    for report in reports:
+        summary = f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
+        if args.quiet:
+            # still emit the single-line summary so scripts can grep it
+            print(summary)
+        else:
+            for check in report.checks:
+                print(check.line())
+            print(f"{summary} ({report.elapsed_seconds:.1f}s)")
+        if args.out:
+            lab.write_json(Path(args.out) / f"verify_{report.suite}.json", report.to_dict())
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def main(argv=None) -> int:
@@ -139,8 +140,8 @@ def main(argv=None) -> int:
                        help="comma-separated parameter values, e.g. 1,2,3 or -0.5,-0.8")
 
     p_ver = sub.add_parser("verify", parents=[common],
-                           help="run a named verification suite at reference resolution")
-    p_ver.add_argument("suite", help=f"one of: {', '.join(lab.suite_names())}")
+                           help="run named verification suites at reference resolution")
+    p_ver.add_argument("suite", nargs="+", help=f"any of {', '.join(lab.suite_names())}, or all")
 
     args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     handlers = {

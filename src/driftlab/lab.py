@@ -6,10 +6,12 @@ cross-checks the predicted asymptotics against the observed ones, and writes
 frames.csv / diagnostics.csv / report.json.  For a lift-off with finite
 averaged growth L > n it also extrapolates the center's relaxation law to
 t = infinity, the limit in which the plateau identity h = I(0)/int phi holds.
-verify() executes the named verification suite on reference scenarios
-declared once in this module and returns one pass/fail result per check with
-the measured numbers.  Each discrete guarantee is measured once, by
-field_measures or series_measures, for run()'s flags and the suites alike.
+verify() runs the named verification suites on reference runs declared once
+in this module, making each run once per call however many suites read it; a
+SuiteReport holds each check's pass/fail and measured numbers, and run()'s
+report.json resolution block of each run read.  Each discrete guarantee is
+measured once, by field_measures or series_measures, for run()'s flags and
+the suites alike.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,16 @@ def simulate(scenario: Scenario) -> Trajectory:
     return solve(scenario.initial_field(), scenario.profile, scenario.solver, scenario.t_end)
 
 
+def resolution(scenario: Scenario, kernel: str | None) -> dict:
+    """report.json's resolution block: the scenario's grid, scheme and horizon, and the
+    kernel ("ldlt" or "lu") that stepped it."""
+    grid, solver = scenario.grid, scenario.solver
+    return {"n_dim": scenario.n_dim, "r_max": grid.r_max, "num_nodes": grid.num_nodes,
+            "dt": solver.dt, "theta": solver.theta, "advection": solver.advection,
+            "outer_bc": solver.outer_bc, "kernel": kernel, "t_end": scenario.t_end,
+            "diag_radius": scenario.diag_radius}
+
+
 def run(scenario: Scenario, out_dir=None) -> RunReport:
     """Classify, simulate, diagnose, check invariants, and emit artifacts."""
     t_start = time.perf_counter()
@@ -334,18 +346,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         verdict_behavior_match=match,
         converged=converged,
         invariants=flags,
-        resolution={
-            "n_dim": scenario.n_dim,
-            "r_max": scenario.grid.r_max,
-            "num_nodes": scenario.grid.num_nodes,
-            "dt": scenario.solver.dt,
-            "theta": scenario.solver.theta,
-            "advection": scenario.solver.advection,
-            "outer_bc": scenario.solver.outer_bc,
-            "kernel": traj.kernel,
-            "t_end": scenario.t_end,
-            "diag_radius": scenario.diag_radius,
-        },
+        resolution=resolution(scenario, traj.kernel),
         elapsed_seconds=time.perf_counter() - t_start,
     )
 
@@ -480,21 +481,15 @@ class CheckResult:
 class SuiteReport:
     suite: str
     checks: list
-    resolution: dict = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
+    resolution: dict  # run name -> its resolution block, for each run the suite reads
+    elapsed_seconds: float
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-            "resolution": self.resolution,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return {"suite": self.suite, "passed": self.passed} | asdict(self)
 
 
 def _check(name, measured, threshold, detail="", comparator="<=") -> CheckResult:
@@ -516,10 +511,21 @@ def _gaussian(name: str, profile, r_max: float, num_nodes: int, solver: SolverCo
                     RadialGrid(r_max, num_nodes, n_dim), solver, t_end, diag_radius)
 
 
-# The suites' reference runs; each suite derives its variants with dataclasses.replace.
+# The suites' reference runs, each declared once and read through verify()'s runs().
 # configs/linear_oracle.ini: psi = r, exact solution ou_solution, plateau 2/3
 LINEAR_ORACLE = _gaussian("linear-oracle", Linear(), 20.0, 2001,
                           SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=500), 6.0, 16.0)
+# its first half, compared with ou_solution at t = 0.5, 1, 2, 3
+ORACLE_WINDOW = replace(LINEAR_ORACLE, name="oracle-window", t_end=3.0)
+# psi = r on a wider domain, whose plain mass grows like e^{2t} until it reaches r_max
+MASS_GROWTH = _gaussian("mass-growth", Linear(), 30.0, 3001,
+                        SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=100), 1.5, 16.0)
+# psi = r to t = 1 at three (nodes, dt) levels, each halving h and dt
+CONVERGENCE_LADDER = tuple(
+    _gaussian(f"convergence-{num_nodes}", Linear(), 12.0, num_nodes,
+              SolverConfig(dt=dt, theta=0.5, snapshot_stride=10**9), 1.0, 9.6)
+    for num_nodes, dt in ((301, 4e-3), (601, 2e-3), (1201, 1e-3))
+)
 # psi = 3/r beyond r0 = 1: lifts off, the full-weight I_R is conserved
 BOUNDED_DRIFT = _gaussian("bounded-drift", PowerLaw(3.0, -1.0, 1.0), 40.0, 4001,
                           SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=250), 10.0, 32.0)
@@ -534,103 +540,99 @@ RELAXATION_RUNS = tuple(
               SolverConfig(dt=1e-2, theta=0.5, snapshot_stride=100), 80.0, 32.0, n_dim=n)
     for A, n in ((3.0, 2), (4.0, 2), (4.0, 3))
 )
+# the invariants matrix: five drifts to t = 1, each under the certified scheme (theta = 1
+# upwind) and under Crank-Nicolson centered
+INVARIANT_RUNS = tuple(
+    _gaussian(f"invariants-{type(profile).__name__.lower()}-n{n}-theta{solver.theta:g}",
+              profile, 10.0, 201, solver, 1.0, 8.0, n_dim=n)
+    for profile, n in ((PowerLaw(3.0, -1.0, 1.0), 2), (LogCorrected(n_dim=2, alpha=2.0), 2),
+                       (Linear(), 2), (Zero(), 3),
+                       (Tabulated([0.0, 2.0, 10.0], [0.0, 2.0, 2.0]), 2))
+    for solver in (SolverConfig(dt=5e-3, theta=1.0, advection="upwind", snapshot_stride=20),
+                   SolverConfig(dt=5e-3, theta=0.5, advection="centered", snapshot_stride=20))
+)
 
 
-def _suite_oracle():
-    checks = []
-    scen = replace(LINEAR_ORACLE, t_end=3.0)
-    traj = simulate(scen)
-    r = scen.grid.nodes
-    mask = r <= 0.8 * scen.grid.r_max
-    worst = 0.0
-    for t_target in (0.5, 1.0, 2.0, 3.0):
-        exact = ou_solution(scen.initial, r[mask], t_target)
-        worst = max(worst, float(np.max(np.abs(_frame_at(traj, t_target)[mask] - exact))))
-    checks.append(_check("oracle_equivalence", worst, 1e-3,
-                         "max |numeric - exact| over r <= 16, t in {0.5,1,2,3}, sup u0 = 1"))
+def _oracle_error(scenario: Scenario, traj: Trajectory, t: float) -> float:
+    """max |numeric - ou_solution| at time t over r <= 0.8 r_max."""
+    r = scenario.grid.nodes
+    mask = r <= 0.8 * scenario.grid.r_max
+    exact = ou_solution(scenario.initial, r[mask], t)
+    return float(np.max(np.abs(_frame_at(traj, t)[mask] - exact)))
 
-    wide = replace(LINEAR_ORACLE, grid=replace(LINEAR_ORACLE.grid, r_max=30.0, num_nodes=3001),
-                   solver=replace(LINEAR_ORACLE.solver, snapshot_stride=100), t_end=1.5)
-    rows = mass_growth_check(simulate(wide))
+
+def _suite_oracle(runs):
+    traj = runs(simulate, ORACLE_WINDOW)
+    worst = max(_oracle_error(ORACLE_WINDOW, traj, t) for t in (0.5, 1.0, 2.0, 3.0))
+    rows = mass_growth_check(runs(simulate, MASS_GROWTH))
     worst2 = max(abs(mass - pred) / pred for _, mass, pred in rows)
-    checks.append(_check("mass_growth", worst2, 0.02,
-                         "relative error of mass(t) against e^{2t} * mass(0), t in [0, 1.5]"))
-    return checks, {"oracle": "r_max=20, 2001 nodes, dt=1e-3, theta=0.5 centered",
-                    "mass_growth": "r_max=30, 3001 nodes, dt=1e-3, t_end=1.5"}
+    return [
+        _check("oracle_equivalence", worst, 1e-3,
+               "max |numeric - exact| over r <= 16, t in {0.5,1,2,3}, sup u0 = 1"),
+        _check("mass_growth", worst2, 0.02,
+               "relative error of mass(t) against e^{2t} * mass(0), t in [0, 1.5]"),
+    ]
 
 
-def _suite_liftoff():
-    checks = []
-    center = run(LINEAR_ORACLE).final_center
+def _suite_liftoff(runs):
+    center = runs(run, LINEAR_ORACLE).final_center
     target = liftoff_limit(LINEAR_ORACLE.initial)  # 2/3 for sigma=1, n=2
-    checks.append(_check("liftoff_level", abs(center - target) / target, 0.02,
-                         f"|u(0, 6) - {target:.6g}| relative to the exact plateau"))
-
-    rep = run(BOUNDED_DRIFT)
+    rep = runs(run, BOUNDED_DRIFT)
     detail = f"u(0, 10) = {rep.h_obs:.6g} vs h_pred = {rep.h_pred:.6g} from quadrature"
     if rep.h_limit is not None:
         detail += (f"; extrapolated u(0, inf) = {rep.h_limit:.6g} under "
                    f"t^-{rep.relaxation_exponent:g}, "
                    f"{plateau_gap(rep.h_limit, rep.h_pred):.2%} from h_pred")
-    checks.append(_check("liftoff_prediction", rep.discrepancy, 0.02, detail))
-    return checks, {"linear": "r_max=20, 2001 nodes, dt=1e-3, t_end=6",
-                    "bounded_drift": "A=3, beta=-1, r_max=40, 4001 nodes, dt=1e-3, t_end=10"}
+    return [
+        _check("liftoff_level", abs(center - target) / target, 0.02,
+               f"|u(0, 6) - {target:.6g}| relative to the exact plateau"),
+        _check("liftoff_prediction", rep.discrepancy, 0.02, detail),
+    ]
 
 
-def _suite_relaxation():
-    checks = []
-    rep = run(BOUNDED_DRIFT)
-    checks.append(_check(
+def _suite_relaxation(runs):
+    rep = runs(run, BOUNDED_DRIFT)
+    plateau = _check(
         "plateau_limit", plateau_gap(rep.h_limit, rep.h_pred), LIFTOFF_LEVEL_RTOL,
         f"extrapolated u(0, inf) = {rep.h_limit:.6g} under t^-{rep.relaxation_exponent:g} "
-        f"from t in [5, 10] vs h_pred = {rep.h_pred:.6g}; u(0, 10) = {rep.h_obs:.6g}"))
+        f"from t in [5, 10] vs h_pred = {rep.h_pred:.6g}; u(0, 10) = {rep.h_obs:.6g}")
 
     worst, fits = 0.0, []
     for scen in RELAXATION_RUNS:
-        rep = run(scen)
+        rep = runs(run, scen)
         fitted = fitted_relaxation_exponent(rep.series.times, rep.series.center)
         worst = max(worst, abs(fitted - rep.relaxation_exponent))
         fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} (L={scen.profile.amplitude:g}, "
                     f"n={scen.n_dim})")
-    checks.append(_check("relaxation_exponent", worst, RELAXATION_RATE_ATOL,
-                         "free fit of u(0, t) = h + C t^-p over t in [40, 80] against "
-                         "(L - n)/2: " + ", ".join(fits)))
-    return checks, {"bounded_drift": "A=3, beta=-1, r_max=40, 4001 nodes, dt=1e-3, t_end=10",
-                    "rate": "A/r with (A, n) in (3, 2), (4, 2), (4, 3); r_max=40, 401 nodes, "
-                            "dt=1e-2, t_end=80"}
+    return [plateau, _check("relaxation_exponent", worst, RELAXATION_RATE_ATOL,
+                            "free fit of u(0, t) = h + C t^-p over t in [40, 80] against "
+                            "(L - n)/2: " + ", ".join(fits))]
 
 
-def _suite_conservation():
-    drift = series_measures(run(BOUNDED_DRIFT).series)["weighted_mass_drift"]
-    checks = [_check("weighted_mass_conservation", drift, CONSERVATION_DRIFT_RTOL,
-                     "max relative drift of I_R, R=32, full weight")]
-    return checks, {"run": "A=3, beta=-1, r0=1, n=2, r_max=40, 4001 nodes, dt=1e-3, t_end=10"}
+def _suite_conservation(runs):
+    drift = series_measures(runs(run, BOUNDED_DRIFT).series)["weighted_mass_drift"]
+    return [_check("weighted_mass_conservation", drift, CONSERVATION_DRIFT_RTOL,
+                   "max relative drift of I_R, R=32, full weight")]
 
 
-def _suite_decay():
-    m = series_measures(run(SUBCRITICAL).series)
-    checks = [
+def _suite_decay(runs):
+    m = series_measures(runs(run, SUBCRITICAL).series)
+    return [
         _check("decay_sup_monotone", m["sup_rise"], 1e-8, "largest framewise increase of sup u"),
         _check("decay_sup_small", m["sup_fraction"], DECAY_SUP_FRACTION,
                "min over frames of sup u / sup u0, t <= 200"),
         _check("decay_weighted_mass_monotone", m["weighted_mass_rise"], MONOTONE_MASS_RTOL,
                "largest framewise relative increase of the psi_+ weighted I_R"),
     ]
-    return checks, {"run": "A=1, beta=-1, r0=1, n=2, r_max=80, 4001 nodes, dt=2e-3, "
-                           "theta=1 upwind, t_end=200"}
 
 
-def _suite_critical():
-    checks = []
+def _suite_critical(runs):
     cases = [
         (LogCorrected(n_dim=2, alpha=2.0), 2, Verdict.CRITICAL_LIFT_OFF),
         (LogCorrected(n_dim=2, alpha=1.0), 2, Verdict.CRITICAL_DECAY),
         (LogCorrected(n_dim=2, alpha=0.5), 2, Verdict.CRITICAL_DECAY),
     ]
     hits = sum(classify(p, n).verdict is want for p, n, want in cases)
-    checks.append(_check("critical_family", hits, len(cases),
-                         "log-corrected verdicts at alpha = 2, 1, 0.5 (n=2)", ">="))
-
     table = [
         (PowerLaw(3.0, -1.0, 1.0), 2, Verdict.LIFT_OFF),
         (PowerLaw(1.0, 0.0, 1.0), 2, Verdict.LIFT_OFF),
@@ -638,48 +640,40 @@ def _suite_critical():
         (PowerLaw(5.0, -2.0, 1.0), 3, Verdict.DECAY),
     ]
     hits2 = sum(classify(p, n).verdict is want for p, n, want in table)
-    checks.append(_check("classifier_table", hits2, len(table),
-                         "power-law verdicts: (A=3,b=-1,n=2), (A=1,b=0,n=2) lift off; "
-                         "(A=1,b=-1,n=2), (A=5,b=-2,n=3) decay", ">="))
-    return checks, {"method": "symbolic growth limits and integrability"}
+    return [
+        _check("critical_family", hits, len(cases),
+               "log-corrected verdicts at alpha = 2, 1, 0.5 (n=2)", ">="),
+        _check("classifier_table", hits2, len(table),
+               "power-law verdicts: (A=3,b=-1,n=2), (A=1,b=0,n=2) lift off; "
+               "(A=1,b=-1,n=2), (A=5,b=-2,n=3) decay", ">="),
+    ]
 
 
-def _suite_invariants():
+def _suite_invariants(runs):
     worst = {"constant": 0.0, "max_principle": 0.0, "radial_monotonicity": 0.0,
              "positivity": 0.0, "linearity": 0.0}
-    t_end = 1.0
-    for profile, n in ((PowerLaw(3.0, -1.0, 1.0), 2), (LogCorrected(n_dim=2, alpha=2.0), 2),
-                       (Linear(), 2), (Zero(), 3),
-                       (Tabulated([0.0, 2.0, 10.0], [0.0, 2.0, 2.0]), 2)):
-        grid = RadialGrid(r_max=10.0, num_nodes=201, n_dim=n)
-        r = grid.nodes
-        u0 = GaussianData(1.0, n).field(grid)
-        v0 = RadialField(grid, np.exp(-((r - 2.0) ** 2)))
-        cert = SolverConfig(dt=5e-3, theta=1.0, advection="upwind",
-                            outer_bc="dirichlet_frozen", snapshot_stride=20)
-        acc = SolverConfig(dt=5e-3, theta=0.5, advection="centered",
-                           outer_bc="dirichlet_frozen", snapshot_stride=20)
+    for scen in INVARIANT_RUNS:
+        profile, cfg, u0 = scen.profile, scen.solver, scen.initial_field()
+        grid = u0.grid
+        # companions on the run's grid, drift and scheme: the constant 0.7, v0, 2 u0 + 3 v0
+        const = RadialField(grid, np.full(grid.num_nodes, 0.7))
+        dev = float(np.max(np.abs(step(const, profile, cfg).values - 0.7))) / 0.7
+        worst["constant"] = max(worst["constant"], dev)
 
-        for cfg in (cert, acc):
-            const = RadialField(grid, np.full(grid.num_nodes, 0.7))
-            dev = float(np.max(np.abs(step(const, profile, cfg).values - 0.7))) / 0.7
-            worst["constant"] = max(worst["constant"], dev)
+        ta = runs(simulate, scen)
+        if cfg.theta == 1.0:  # the certified scheme keeps the discrete guarantees
+            for name, value in field_measures(ta.values).items():
+                worst[name] = max(worst[name], value)
 
-        traj = solve(u0, profile, cert, t_end)
-        for name, value in field_measures(traj.values).items():
-            worst[name] = max(worst[name], value)
+        v0 = RadialField(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
+        tm = solve(RadialField(grid, 2.0 * u0.values + 3.0 * v0.values), profile, cfg, scen.t_end)
+        tb = solve(v0, profile, cfg, scen.t_end)
+        for fm, fa, fb in zip(tm.values, ta.values, tb.values):
+            lin = 2.0 * fa + 3.0 * fb
+            scale = float(np.max(np.abs(lin))) or 1.0
+            worst["linearity"] = max(worst["linearity"], float(np.max(np.abs(fm - lin))) / scale)
 
-        mix0 = RadialField(grid, 2.0 * u0.values + 3.0 * v0.values)
-        for cfg, ta in ((cert, traj), (acc, solve(u0, profile, acc, t_end))):
-            tm = solve(mix0, profile, cfg, t_end)
-            tb = solve(v0, profile, cfg, t_end)
-            for fm, fa, fb in zip(tm.values, ta.values, tb.values):
-                lin = 2.0 * fa + 3.0 * fb
-                scale = float(np.max(np.abs(lin))) or 1.0
-                worst["linearity"] = max(worst["linearity"],
-                                         float(np.max(np.abs(fm - lin))) / scale)
-
-    checks = [
+    return [
         _check("constant_preservation", worst["constant"], 1e-12, "relative, both schemes"),
         _check("max_principle", worst["max_principle"], MAX_PRINCIPLE_ATOL,
                "range excess, theta=1 upwind, 5-profile matrix"),
@@ -688,29 +682,16 @@ def _suite_invariants():
         _check("positivity", worst["positivity"], POSITIVITY_ATOL, "most negative node value"),
         _check("linearity", worst["linearity"], 1e-12, "relative framewise, both schemes"),
     ]
-    return checks, {"matrix": "5 profile families, r_max=10, 201 nodes, dt=5e-3, t_end=1"}
 
 
-def _suite_convergence():
-    levels = [(301, 4e-3), (601, 2e-3), (1201, 1e-3)]
-    errors = []
-    for num_nodes, dt in levels:
-        scen = replace(LINEAR_ORACLE,
-                       grid=replace(LINEAR_ORACLE.grid, r_max=12.0, num_nodes=num_nodes),
-                       solver=replace(LINEAR_ORACLE.solver, dt=dt, snapshot_stride=10**9),
-                       t_end=1.0, diag_radius=9.6)
-        traj = simulate(scen)
-        r = scen.grid.nodes
-        mask = r <= 0.8 * scen.grid.r_max
-        exact = ou_solution(scen.initial, r[mask], 1.0)
-        errors.append(float(np.max(np.abs(traj.final.values[mask] - exact))))
+def _suite_convergence(runs):
+    errors = [_oracle_error(scen, runs(simulate, scen), scen.t_end) for scen in CONVERGENCE_LADDER]
     p1 = math.log2(errors[0] / errors[1])
     p2 = math.log2(errors[1] / errors[2])
     order = 0.5 * math.log2(errors[0] / errors[2])
     detail = (f"errors {errors[0]:.3e} -> {errors[1]:.3e} -> {errors[2]:.3e}, "
               f"pairwise orders {p1:.3f}, {p2:.3f}")
-    checks = [_check("convergence_order", order, 1.9, detail, ">=")]
-    return checks, {"levels": "(301, 4e-3), (601, 2e-3), (1201, 1e-3) on r_max=12, t_end=1"}
+    return [_check("convergence_order", order, 1.9, detail, ">=")]
 
 
 _SUITES = {
@@ -729,11 +710,28 @@ def suite_names() -> tuple:
     return tuple(sorted(_SUITES))
 
 
-def verify(suite: str) -> SuiteReport:
-    """Run one named verification suite at its reference resolution."""
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(suite_names())}")
-    t0 = time.perf_counter()
-    checks, resolution = _SUITES[suite]()
-    return SuiteReport(suite=suite, checks=checks, resolution=resolution,
-                       elapsed_seconds=time.perf_counter() - t0)
+def verify(*suites: str) -> list[SuiteReport]:
+    """Run the named verification suites at their reference resolution, in the order given.
+
+    Returns one SuiteReport per distinct name.  A reference run that several of the suites
+    read is made once; its resolution is reported by each suite that reads it.
+    """
+    for suite in suites:
+        if suite not in _SUITES:
+            raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(suite_names())}")
+    made, reports = {}, []
+
+    def runs(how, scenario: Scenario):
+        """run(scenario) or simulate(scenario), made once per verify call; records its
+        resolution for the suite that reads it."""
+        if (how, scenario) not in made:
+            made[how, scenario] = how(scenario)
+        out = made[how, scenario]
+        read[scenario.name] = (out.resolution if isinstance(out, RunReport)
+                               else resolution(scenario, out.kernel))
+        return out
+
+    for suite in dict.fromkeys(suites):
+        t0, read = time.perf_counter(), {}
+        reports.append(SuiteReport(suite, _SUITES[suite](runs), read, time.perf_counter() - t0))
+    return reports

@@ -1,8 +1,9 @@
 """Acceptance gate: every verification criterion at its reference resolution.
 
-Each test pulls one check out of the corresponding verification suite (suites
-are computed once and cached) and asserts it at the pinned tolerance, printing
-the measured numbers.
+Each test pulls one check out of the corresponding verification suite and
+asserts it at the pinned tolerance, printing the measured numbers.  All suites
+come from one verify call, which makes each reference run once however many
+suites read it; the fixture counts the simulations to show it.
 
 `liftoff-prediction` gates the plateau identity in the form the paper states
 it: a positive solution tends to h = I(0)/int phi as t -> infinity.  On the
@@ -25,13 +26,20 @@ import pytest
 
 from driftlab import lab
 
-_CACHE: dict = {}
 
+@pytest.fixture(scope="module")
+def verified():
+    """{suite: SuiteReport} of one verify of every suite, and each Scenario it simulated."""
+    simulated, simulate = [], lab.simulate
 
-def _suite(name: str) -> lab.SuiteReport:
-    if name not in _CACHE:
-        _CACHE[name] = lab.verify(name)
-    return _CACHE[name]
+    def counting(scenario):
+        simulated.append(scenario)
+        return simulate(scenario)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "simulate", counting)
+        reports = {r.suite: r for r in lab.verify(*lab.suite_names())}
+    return reports, simulated
 
 
 CRITERIA = [
@@ -57,8 +65,13 @@ CRITERIA = [
 
 
 @pytest.mark.parametrize("label,suite,check", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_acceptance(label, suite, check):
-    report = _suite(suite)
-    result = next(c for c in report.checks if c.name == check)
+def test_acceptance(verified, label, suite, check):
+    result = next(c for c in verified[0][suite].checks if c.name == check)
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_every_reference_run_is_simulated_once(verified):
+    reports, simulated = verified
+    assert list(reports) == list(lab.suite_names())
+    assert simulated and len(set(simulated)) == len(simulated)

@@ -543,12 +543,55 @@ def test_verify_unknown_suite_lists_valid_names():
 
 
 def test_verify_critical_suite_report_shape():
-    report = lab.verify("critical")
+    (report,) = lab.verify("critical")
     assert report.passed
     assert {c.name for c in report.checks} == {"critical_family", "classifier_table"}
     payload = report.to_dict()
+    assert list(payload) == ["suite", "passed", "checks", "resolution", "elapsed_seconds"]
     assert payload["suite"] == "critical"
     assert all("measured" in c for c in payload["checks"])
+    assert payload["resolution"] == {}  # the classifier table reads no run
+
+
+DECLARED_RUNS = (lab.LINEAR_ORACLE, lab.ORACLE_WINDOW, lab.MASS_GROWTH, *lab.CONVERGENCE_LADDER,
+                 lab.BOUNDED_DRIFT, lab.SUBCRITICAL, *lab.RELAXATION_RUNS, *lab.INVARIANT_RUNS)
+
+
+def test_declared_reference_runs_have_distinct_names():
+    assert len({s.name for s in DECLARED_RUNS}) == len(DECLARED_RUNS)
+
+
+def test_verify_resolution_is_the_report_block_of_each_declared_run():
+    declared = {s.name: s for s in DECLARED_RUNS}
+    reports = lab.verify("invariants", "convergence", "oracle", "invariants")
+    assert [r.suite for r in reports] == ["invariants", "convergence", "oracle"]
+    for report in reports:
+        assert report.resolution
+        for name, block in report.resolution.items():
+            assert block == lab.resolution(declared[name], block["kernel"])
+    invariants = reports[0].resolution
+    assert list(invariants) == [s.name for s in lab.INVARIANT_RUNS]
+    # Zero() in n = 3 with centered advection has lower[1] = 0: no LDL^T, pivoted LU
+    lu = [s.name for s in lab.INVARIANT_RUNS
+          if isinstance(s.profile, Zero) and s.n_dim == 3 and s.solver.theta == 0.5]
+    assert {name: block["kernel"] for name, block in invariants.items()} == {
+        s.name: "lu" if s.name in lu else "ldlt" for s in lab.INVARIANT_RUNS}
+    assert reports[2].resolution == {
+        s.name: lab.resolution(s, "ldlt") for s in (lab.ORACLE_WINDOW, lab.MASS_GROWTH)}
+
+
+@pytest.mark.parametrize("suite,solves", [("oracle", 2), ("convergence", 3), ("invariants", 30),
+                                          ("critical", 0)])
+def test_verify_solve_count_per_suite(monkeypatch, suite, solves):
+    calls, solve = [], lab.solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lab, "solve", counting)
+    lab.verify(suite)
+    assert len(calls) == solves
 
 
 # --- command line ------------------------------------------------------------
@@ -586,10 +629,46 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_cli_verify(tmp_path, capsys):
-    rc = cli.main(["verify", "critical", "--out", str(tmp_path)])
+    rc = cli.main(["verify", "critical", "convergence", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "verify_critical.json").exists()
-    assert "critical_family" in capsys.readouterr().out
+    assert (tmp_path / "verify_convergence.json").exists()
+    out = capsys.readouterr().out
+    assert "critical_family" in out and "convergence_order" in out
+    assert out.index("suite critical: PASS") < out.index("suite convergence: PASS")
+
+    rc = cli.main(["verify", "critical", "convergence", "--quiet"])
+    assert rc == 0
+    assert capsys.readouterr().out == "suite critical: PASS\nsuite convergence: PASS\n"
+
+
+def _fake_verify(failing):
+    """A stand-in for lab.verify that records its suites and fails the named ones."""
+    calls = []
+
+    def verify(*suites):
+        calls.append(suites)
+        return [lab.SuiteReport(s, [lab.CheckResult("c", s not in failing, 1.0, 0.0)], {}, 0.0)
+                for s in suites]
+    return verify, calls
+
+
+def test_cli_verify_all_is_one_call_of_every_suite(monkeypatch, capsys):
+    verify, calls = _fake_verify(failing=())
+    monkeypatch.setattr(lab, "verify", verify)
+    assert cli.main(["verify", "all", "--quiet"]) == 0
+    assert calls == [lab.suite_names()]
+    assert capsys.readouterr().out.splitlines() == [f"suite {s}: PASS" for s in lab.suite_names()]
+
+
+def test_cli_verify_fails_if_any_suite_fails(monkeypatch, tmp_path, capsys):
+    verify, calls = _fake_verify(failing=("oracle",))
+    monkeypatch.setattr(lab, "verify", verify)
+    assert cli.main(["verify", "critical", "oracle", "--quiet", "--out", str(tmp_path)]) == 1
+    assert calls == [("critical", "oracle")]
+    assert capsys.readouterr().out == "suite critical: PASS\nsuite oracle: FAIL\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify_critical.json",
+                                                          "verify_oracle.json"]
 
 
 def test_cli_classify_tabulated_profile(tmp_path, capsys):
@@ -724,3 +803,11 @@ def test_cli_unknown_suite_exit_code(capsys):
     rc = cli.main(["verify", "spectral"])
     assert rc == 2
     assert "valid suites" in capsys.readouterr().err
+
+
+def test_cli_unknown_suite_among_known_runs_nothing(tmp_path, capsys):
+    rc = cli.main(["verify", "critical", "spectral", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "valid suites" in captured.err and captured.out == ""
+    assert not any(tmp_path.iterdir())
