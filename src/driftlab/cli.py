@@ -94,7 +94,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = lab.verify(*(lab.suite_names() if "all" in args.suite else args.suite))
+    suites = [name for s in args.suite for name in (lab.suite_names() if s == "all" else [s])]
+    reports = lab.verify(*suites)
     for report in reports:
         summary = f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
         if args.quiet:

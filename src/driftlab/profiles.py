@@ -31,22 +31,12 @@ def _scalar_or_array(out, r):
     return out if np.ndim(r) else float(out)
 
 
-def _ramp_value(v: float, slope_ratio: float, r0: float, r):
-    # cubic with p(0)=p'(0)=0, p(r0)=v, p'(r0)=slope_ratio*v/r0
-    s = r / r0
-    return v * s * s * ((3.0 - slope_ratio) + (slope_ratio - 2.0) * s)
-
-
-def _ramp_integral(v: float, slope_ratio: float, r0: float, r):
-    s = r / r0
-    return v * r0 * (s**3 * (3.0 - slope_ratio) / 3.0 + s**4 * (slope_ratio - 2.0) / 4.0)
-
-
-def _clamp_slope_ratio(ratio: float) -> float:
-    # Monotonicity of the cubic ramp requires the endpoint slope ratio in
-    # [0, 3]; decreasing far fields would need a negative endpoint slope,
-    # which no monotone ramp can match, so the slope is limited instead.
-    return min(max(ratio, 0.0), 3.0)
+def _or_inf(product) -> float:
+    """product(), a constant formed from doubles; inf where a factor leaves the double range."""
+    try:
+        return product()
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -71,82 +61,107 @@ class Tail:
 
 
 class DriftProfile:
-    """Base class; a variant states psi, Psi = int_0^r psi and the far field that the
-    classifier and the weight integrals read: the growth limit L and the Tail of phi."""
+    """Base class; a variant states psi and Psi = int_0^r psi on arrays of radii (the hooks
+    _psi and _psi_integral) and the far field that the classifier and the weight integrals
+    read: the growth limit L and the Tail of phi."""
 
     # L = lim (1/log r) int_0^r psi, may be +-inf; None where samples cannot tell
     growth_limit: float | None = None
+    # psi(r) >= 0, resp. psi(r) <= 0, guaranteed for all r
+    nonnegative: bool = False
+    nonpositive: bool = False
 
     def psi(self, r):
-        raise NotImplementedError
+        """psi(r): a float for a scalar radius, an array for an array of radii."""
+        return _scalar_or_array(self._psi(_as_array(r)), r)
 
     def psi_integral(self, r):
         """Cumulative integral int_0^r psi, in closed form."""
-        raise NotImplementedError
+        return _scalar_or_array(self._psi_integral(_as_array(r)), r)
 
     def psi_plus_integral(self, r):
-        """Cumulative integral int_0^r max(psi, 0), in closed form."""
+        """Cumulative integral int_0^r max(psi, 0), in closed form; a sign-changing
+        family states it on arrays (the hook _psi_plus_integral)."""
         if self.nonnegative:
             return self.psi_integral(r)
         if self.nonpositive:
             return _scalar_or_array(np.zeros_like(_as_array(r)), r)
-        raise NotImplementedError
+        return _scalar_or_array(self._psi_plus_integral(_as_array(r)), r)
 
     def tail(self) -> Tail | None:
         """Closed form of phi = exp(-Psi) beyond a knot, or None where there is none."""
         return None
 
-    @property
-    def nonnegative(self) -> bool:
-        """True when psi(r) >= 0 is guaranteed for all r."""
-        return False
 
-    @property
-    def nonpositive(self) -> bool:
-        """True when psi(r) <= 0 is guaranteed for all r."""
-        return False
+@dataclass(frozen=True)
+class _Mollified(DriftProfile):
+    """A closed-form far field for r >= r0 and a monotone cubic ramp to 0 below r0.  A family
+    states psi(r0) (_knot_value), the slope ratio r0 psi'(r0)/psi(r0) the ramp ends on
+    (_slope_ratio(v), v = psi(r0) != 0), the far field _far(rf) and _far_integral(rf, Psi(r0))."""
+
+    _ramp_v: float = field(init=False, repr=False, compare=False)
+    _ramp_t: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = _or_inf(self._knot_value)
+        if not math.isfinite(v):
+            raise ValueError(f"psi(r0) of {self!r} is not a finite double")
+        # a monotone cubic ramp ends on a slope ratio in [0, 3]; a decreasing far field would
+        # need a negative one, which no monotone ramp can match, so the ratio is limited
+        t = min(max(self._slope_ratio(v), 0.0), 3.0) if v != 0.0 else 0.0
+        object.__setattr__(self, "_ramp_v", v)
+        object.__setattr__(self, "_ramp_t", t)
+
+    def _ramp_integral(self, r):
+        # of the ramp v s^2 ((3-t) + (t-2) s), s = r/r0: p(0)=p'(0)=0, p(r0)=v, p'(r0)=t*v/r0
+        v, t, s = self._ramp_v, self._ramp_t, r / self.r0
+        return v * self.r0 * (s**3 * (3.0 - t) / 3.0 + s**4 * (t - 2.0) / 4.0)
+
+    def _psi(self, rr):
+        out = np.empty_like(rr)
+        far = rr >= self.r0
+        out[far] = self._far(rr[far])
+        s = rr[~far] / self.r0
+        out[~far] = self._ramp_v * s * s * ((3.0 - self._ramp_t) + (self._ramp_t - 2.0) * s)
+        return out
+
+    def _psi_integral(self, rr):
+        out = np.empty_like(rr)
+        far = rr >= self.r0
+        out[~far] = self._ramp_integral(rr[~far])
+        out[far] = self._far_integral(rr[far], self._ramp_integral(self.r0))
+        return out
 
 
 @dataclass(frozen=True)
-class PowerLaw(DriftProfile):
+class PowerLaw(_Mollified):
     """psi(r) = amplitude * r**exponent for r >= r0, cubic ramp to 0 below r0."""
 
     amplitude: float
     exponent: float
     r0: float = 1.0
-    _ramp_v: float = field(init=False, repr=False, compare=False)
-    _ramp_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r0 <= 0:
             raise ValueError(f"mollification radius must be positive, got {self.r0}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.exponent)):
             raise ValueError("amplitude and exponent must be finite")
-        v = self.amplitude * self.r0**self.exponent
-        t = _clamp_slope_ratio(self.exponent) if v != 0.0 else 0.0
-        object.__setattr__(self, "_ramp_v", v)
-        object.__setattr__(self, "_ramp_t", t)
+        super().__post_init__()
 
-    def psi(self, r):
-        rr = _as_array(r)
-        out = np.empty_like(rr)
-        far = rr >= self.r0
-        out[far] = self.amplitude * rr[far] ** self.exponent
-        out[~far] = _ramp_value(self._ramp_v, self._ramp_t, self.r0, rr[~far])
-        return _scalar_or_array(out, r)
+    def _knot_value(self):
+        return self.amplitude * self.r0**self.exponent
 
-    def psi_integral(self, r):
-        rr = _as_array(r)
-        out = np.empty_like(rr)
-        far = rr >= self.r0
-        out[~far] = _ramp_integral(self._ramp_v, self._ramp_t, self.r0, rr[~far])
-        base = _ramp_integral(self._ramp_v, self._ramp_t, self.r0, self.r0)
+    def _slope_ratio(self, v):
+        return self.exponent
+
+    def _far(self, rf):
+        return self.amplitude * rf ** self.exponent
+
+    def _far_integral(self, rf, base):
         if self.exponent == -1.0:
-            out[far] = base + self.amplitude * np.log(rr[far] / self.r0)
-        else:
-            g = self.exponent + 1.0
-            out[far] = base + self.amplitude / g * (rr[far] ** g - self.r0**g)
-        return _scalar_or_array(out, r)
+            return base + self.amplitude * np.log(rf / self.r0)
+        g = self.exponent + 1.0
+        return base + self.amplitude / g * (rf ** g - self.r0**g)
 
     @property
     def growth_limit(self) -> float:
@@ -158,9 +173,9 @@ class PowerLaw(DriftProfile):
     def tail(self) -> Tail | None:
         knot, A = self.r0, self.amplitude
         log_phi0 = -self.psi_integral(knot)
-        phi0 = math.exp(log_phi0)
         if A == 0.0 or self.exponent == -1.0:
-            return Tail("power", knot, phi0 * knot**A, A, log_K=log_phi0 + A * math.log(knot))
+            log_K = log_phi0 + A * math.log(knot)
+            return Tail("power", knot, _or_inf(lambda: math.exp(log_phi0) * knot**A), A, log_K=log_K)
         g = self.exponent + 1.0
         if A > 0 and g > 0:
             c = A / g
@@ -168,10 +183,7 @@ class PowerLaw(DriftProfile):
             log_c = math.log(c) if c >= sys.float_info.min else math.log(A) - math.log(g)
             x0 = Tail("gamma", knot, 1.0, c, g, log_p=log_c).exponent(knot)  # c r0^g
             # K = inf where e^{c r0^g} leaves the double range; log K stays finite
-            try:
-                K = phi0 * math.exp(x0)
-            except OverflowError:
-                K = math.inf
+            K = _or_inf(lambda: math.exp(log_phi0) * math.exp(x0))
             return Tail("gamma", knot, K, c, g, x0 + log_phi0, log_c)
         return None
 
@@ -185,7 +197,7 @@ class PowerLaw(DriftProfile):
 
 
 @dataclass(frozen=True)
-class LogCorrected(DriftProfile):
+class LogCorrected(_Mollified):
     """psi(r) = (n_dim + alpha/log r) / r for r >= r0 > 1, cubic ramp below r0.
 
     The averaged growth (1/log r) int_0^r psi tends to n_dim exactly, so this
@@ -195,63 +207,49 @@ class LogCorrected(DriftProfile):
     n_dim: int
     alpha: float
     r0: float = math.e
-    _ramp_v: float = field(init=False, repr=False, compare=False)
-    _ramp_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r0 <= 1.0:
             raise ValueError(f"activation radius must exceed 1, got {self.r0}")
         if self.n_dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n_dim}")
+        super().__post_init__()
+
+    def _knot_value(self):
+        return (self.n_dim + self.alpha / math.log(self.r0)) / self.r0
+
+    def _slope_ratio(self, v):
         L = math.log(self.r0)
-        v = (self.n_dim + self.alpha / L) / self.r0
-        if v != 0.0:
-            d = -(self.n_dim + self.alpha / L + self.alpha / L**2) / self.r0**2
-            t = _clamp_slope_ratio(d * self.r0 / v)
-        else:
-            t = 0.0
-        object.__setattr__(self, "_ramp_v", v)
-        object.__setattr__(self, "_ramp_t", t)
+        slope = self.n_dim + self.alpha / L + self.alpha / L**2  # -r0^2 psi'(r0)
+        try:
+            return -slope / self.r0**2 * self.r0 / v
+        except OverflowError:  # r0^2 past the double range: the same ratio without r0
+            return -slope / (self.n_dim + self.alpha / L)
 
-    def psi(self, r):
-        rr = _as_array(r)
-        out = np.empty_like(rr)
-        far = rr >= self.r0
-        rf = rr[far]
-        out[far] = (self.n_dim + self.alpha / np.log(rf)) / rf
-        out[~far] = _ramp_value(self._ramp_v, self._ramp_t, self.r0, rr[~far])
-        return _scalar_or_array(out, r)
+    def _far(self, rf):
+        return (self.n_dim + self.alpha / np.log(rf)) / rf
 
-    def psi_integral(self, r):
-        rr = _as_array(r)
-        out = np.empty_like(rr)
-        far = rr >= self.r0
-        out[~far] = _ramp_integral(self._ramp_v, self._ramp_t, self.r0, rr[~far])
-        base = _ramp_integral(self._ramp_v, self._ramp_t, self.r0, self.r0)
-        rf = rr[far]
+    def _far_integral(self, rf, base):
         L0 = math.log(self.r0)
-        out[far] = base + self.n_dim * np.log(rf / self.r0) + self.alpha * np.log(np.log(rf) / L0)
-        return _scalar_or_array(out, r)
+        return base + self.n_dim * np.log(rf / self.r0) + self.alpha * np.log(np.log(rf) / L0)
 
-    def psi_plus_integral(self, r):
-        if self.nonnegative:
-            return self.psi_integral(r)
+    def _psi_plus_integral(self, rr):
         # psi <= 0 up to r* = e^{ls} > r0, ls = -alpha/n, and psi > 0 beyond it, where
         # Psi(r) - Psi(r*) = n d + alpha log(1 + d/ls) with d = log r - ls
         ls = -self.alpha / self.n_dim
-        d = np.maximum(np.log(np.maximum(_as_array(r), 1.0)) - ls, 0.0)
-        return _scalar_or_array(self.n_dim * d + self.alpha * np.log1p(d / ls), r)
+        d = np.maximum(np.log(np.maximum(rr, 1.0)) - ls, 0.0)
+        return self.n_dim * d + self.alpha * np.log1p(d / ls)
 
     @property
     def growth_limit(self) -> float:
         return float(self.n_dim)
 
     def tail(self) -> Tail:
-        knot = self.r0
+        knot, n, alpha = self.r0, self.n_dim, self.alpha
         log_phi0 = -self.psi_integral(knot)
-        K = math.exp(log_phi0) * knot**self.n_dim * math.log(knot) ** self.alpha
-        log_K = log_phi0 + self.n_dim * math.log(knot) + self.alpha * math.log(math.log(knot))
-        return Tail("log", knot, K, float(self.n_dim), self.alpha, log_K)
+        log_K = log_phi0 + n * math.log(knot) + alpha * math.log(math.log(knot))
+        K = _or_inf(lambda: math.exp(log_phi0) * knot**n * math.log(knot) ** alpha)
+        return Tail("log", knot, K, float(n), alpha, log_K)
 
     @property
     def nonnegative(self) -> bool:
@@ -264,48 +262,33 @@ class LogCorrected(DriftProfile):
 class Linear(DriftProfile):
     """psi(r) = r.  Unbounded model drift with a fully closed-form solution."""
 
-    def psi(self, r):
-        rr = _as_array(r)
-        return _scalar_or_array(rr.copy(), r)
-
-    def psi_integral(self, r):
-        rr = _as_array(r)
-        return _scalar_or_array(0.5 * rr * rr, r)
-
     growth_limit = math.inf
+    nonnegative = True
+
+    def _psi(self, rr):
+        return rr.copy()
+
+    def _psi_integral(self, rr):
+        return 0.5 * rr * rr
 
     def tail(self) -> Tail:
         return Tail("gamma", 0.0, 1.0, 0.5, 2.0, log_p=math.log(0.5))
-
-    @property
-    def nonnegative(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
 class Zero(DriftProfile):
     """psi identically zero: pure heat flow."""
 
-    def psi(self, r):
-        rr = _as_array(r)
-        return _scalar_or_array(np.zeros_like(rr), r)
-
-    def psi_integral(self, r):
-        rr = _as_array(r)
-        return _scalar_or_array(np.zeros_like(rr), r)
-
     growth_limit = 0.0
+    nonnegative = nonpositive = True
+
+    def _psi(self, rr):
+        return np.zeros_like(rr)
+
+    _psi_integral = _psi
 
     def tail(self) -> Tail:
         return Tail("power", 0.0, 1.0)
-
-    @property
-    def nonnegative(self) -> bool:
-        return True
-
-    @property
-    def nonpositive(self) -> bool:
-        return True
 
 
 def tabulated_samples(radii, values) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -349,26 +332,21 @@ class Tabulated(DriftProfile):
                 f"query radius beyond sampled range [0, {self.radii[-1]}]"
             )
 
-    def psi(self, r):
-        rr = _as_array(r)
+    def _psi(self, rr):
         self._check_range(rr)
-        return _scalar_or_array(np.interp(rr, self.radii, self.speeds), r)
+        return np.interp(rr, self.radii, self.speeds)
 
-    def psi_integral(self, r):
-        rr = _as_array(r)
+    def _psi_integral(self, rr):
         self._check_range(rr)
         radii, speeds = np.array(self.radii), np.array(self.speeds)
         seg = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(radii)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         k = np.clip(np.searchsorted(radii, rr, side="right") - 1, 0, len(radii) - 2)
         pr = np.interp(rr, radii, speeds)
-        out = cum[k] + 0.5 * (speeds[k] + pr) * (rr - radii[k])
-        return _scalar_or_array(out, r)
+        return cum[k] + 0.5 * (speeds[k] + pr) * (rr - radii[k])
 
-    def psi_plus_integral(self, r):
-        if self.nonnegative or self.nonpositive:
-            return super().psi_plus_integral(r)
-        return self.positive_part().psi_integral(r)
+    def _psi_plus_integral(self, rr):
+        return self.positive_part()._psi_integral(rr)
 
     @property
     def growth_bounds(self) -> tuple[float, float] | None:

@@ -149,17 +149,42 @@ def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
     return False, h
 
 
-def _monomial_integral(K: float, e: float, a: float, b: float) -> float:
-    """K int_a^b x^{e-1} dx, b may be math.inf; ValueError where that diverges."""
-    if abs(e) < 1e-300:
-        if math.isinf(b):
-            raise ValueError("weight mass integral diverges")
-        return K * math.log(b / a)
-    if math.isinf(b):
-        if e > 0:
-            raise ValueError("weight mass integral diverges")
-        return -K * a**e / e
-    return K * (b**e - a**e) / e
+def _monomial_integral(tail: Tail, e: float, a: float, b: float) -> float:
+    """K int_a^b x^{e-1} dx of the tail's K, b may be math.inf; ValueError where it diverges.
+    Past the double range, e^(log K + m) (1 - e^{-|e| log(b/a)}) / |e|, m = max(e log a, e log b)."""
+    if math.isinf(b) and e > -1e-300:
+        raise ValueError("weight mass integral diverges")
+    try:
+        out = (tail.K * math.log(b / a) if abs(e) < 1e-300
+               else -tail.K * a**e / e if math.isinf(b) else tail.K * (b**e - a**e) / e)
+    except OverflowError:
+        out = math.inf
+    if math.isfinite(out):
+        return out
+    span = math.log(b / a)
+    log_i = (math.log(span) if abs(e) < 1e-300 else max(e * math.log(a), e * math.log(b))
+             + math.log(-math.expm1(-abs(e) * span) / abs(e)))
+    try:
+        return math.exp(tail.log_K + log_i)
+    except OverflowError:
+        return math.inf
+
+
+def _gamma_span(scale, log_scale: float, s: float, xa: float, xb: float) -> float:
+    """scale() (Gamma(s, xa) - Gamma(s, xb)), xb may be math.inf; where that is not finite
+    (a factor left the double range), each term in logarithms from log_scale."""
+    hi = 0.0 if math.isinf(xb) else upper_gamma(s, xb)
+    try:
+        out = scale() * (upper_gamma(s, xa) - hi)
+    except OverflowError:
+        out = math.inf
+    if math.isfinite(out):
+        return out
+    try:
+        hi = 0.0 if math.isinf(xb) else math.exp(log_scale + _log_upper_gamma(s, xb))
+        return math.exp(log_scale + _log_upper_gamma(s, xa)) - hi
+    except OverflowError:
+        return math.inf
 
 
 def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
@@ -171,35 +196,27 @@ def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
     n = float(n_dim)
     kind, K = tail.kind, tail.K
     if kind == "power":
-        return _monomial_integral(K, n - tail.p, a, b)
+        return _monomial_integral(tail, n - tail.p, a, b)
     if kind == "gamma":
         c, g = tail.p, tail.q
         s = n / g
-        hi = 0.0 if math.isinf(b) else upper_gamma(s, tail.exponent(b))
-        lo = upper_gamma(s, tail.exponent(a))
+        # where Gamma(s) or c^-s leaves the double range (s beyond ~171), or c underflows
         direct = c >= sys.float_info.min and -s * tail.log_p < 700.0
-        out = K / g * c**(-s) * (lo - hi) if direct else math.inf
-        if math.isfinite(out):
-            return out
-        # K, Gamma(s) or c^-s leaves the double range (s beyond ~171), or c underflows:
-        # each term in logarithms
-        log_k = tail.log_K - math.log(g) - s * tail.log_p
-        try:
-            hi = 0.0 if math.isinf(b) else math.exp(log_k + _log_upper_gamma(s, tail.exponent(b)))
-            return math.exp(log_k + _log_upper_gamma(s, tail.exponent(a))) - hi
-        except OverflowError:
-            return math.inf
+        return _gamma_span(lambda: K / g * c**(-s) if direct else math.inf,
+                           tail.log_K - math.log(g) - s * tail.log_p, s,
+                           tail.exponent(a), tail.exponent(b))
     if kind == "log":
         # t = c log r, c = p - n: K c^{alpha-1} int t^-alpha e^-t dt; at c = 0, K int t^-alpha dt
         alpha, c = tail.q, tail.p - n
         if c == 0.0:
-            return _monomial_integral(K, 1.0 - alpha, math.log(a), math.log(b))
+            return _monomial_integral(tail, 1.0 - alpha, math.log(a), math.log(b))
         if c < 0.0:
             if math.isinf(b):
                 raise ValueError("weight mass integral diverges")
             return None
-        hi = 0.0 if math.isinf(b) else upper_gamma(1.0 - alpha, c * math.log(b))
-        return K * c ** (alpha - 1.0) * (upper_gamma(1.0 - alpha, c * math.log(a)) - hi)
+        log_scale = tail.log_K + (alpha - 1.0) * math.log(c)
+        return _gamma_span(lambda: K * c ** (alpha - 1.0), log_scale, 1.0 - alpha,
+                           c * math.log(a), c * math.log(b))
     raise AssertionError(f"unknown tail {kind}")
 
 

@@ -3,7 +3,8 @@
 Each test pulls one check out of the corresponding verification suite and
 asserts it at the pinned tolerance, printing the measured numbers.  All suites
 come from one verify call, which makes each reference run once however many
-suites read it; the fixture counts the simulations to show it.
+suites read it; the session fixture `verified` (tests/conftest.py) counts the
+simulations to show it.
 
 `liftoff-prediction` gates the plateau identity in the form the paper states
 it: a positive solution tends to h = I(0)/int phi as t -> infinity.  On the
@@ -25,21 +26,6 @@ domain doubles, the finite-time discrepancy is not (0.0662 at r_max 40,
 import pytest
 
 from driftlab import lab
-
-
-@pytest.fixture(scope="module")
-def verified():
-    """{suite: SuiteReport} of one verify of every suite, and each Scenario it simulated."""
-    simulated, simulate = [], lab.simulate
-
-    def counting(scenario):
-        simulated.append(scenario)
-        return simulate(scenario)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lab, "simulate", counting)
-        reports = {r.suite: r for r in lab.verify(*lab.suite_names())}
-    return reports, simulated
 
 
 CRITERIA = [
@@ -72,6 +58,6 @@ def test_acceptance(verified, label, suite, check):
 
 
 def test_every_reference_run_is_simulated_once(verified):
-    reports, simulated = verified
+    reports, simulated, _ = verified
     assert list(reports) == list(lab.suite_names())
     assert simulated and len(set(simulated)) == len(simulated)

@@ -806,8 +806,10 @@ def test_cli_unknown_suite_exit_code(capsys):
 
 
 def test_cli_unknown_suite_among_known_runs_nothing(tmp_path, capsys):
-    rc = cli.main(["verify", "critical", "spectral", "--out", str(tmp_path)])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert "valid suites" in captured.err and captured.out == ""
-    assert not any(tmp_path.iterdir())
+    # "all" expands in place: an unknown name beside it still stops every suite
+    for suites in (["critical", "spectral"], ["all", "spectral"]):
+        rc = cli.main(["verify", *suites, "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "valid suites" in captured.err and captured.out == ""
+        assert not any(tmp_path.iterdir())

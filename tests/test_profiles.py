@@ -143,6 +143,13 @@ def test_powerlaw_rejects_bad_r0():
         PowerLaw(1.0, -1.0, 0.0)
 
 
+def test_powerlaw_rejects_a_knot_value_past_the_double_range():
+    # psi(r0) = A r0^beta: 10^400 and 0.01^-400 are no doubles
+    for exponent, r0 in ((400.0, 10.0), (-400.0, 0.01)):
+        with pytest.raises(ValueError, match="not a finite double"):
+            PowerLaw(1.0, exponent, r0)
+
+
 def test_logcorrected_requires_r0_beyond_one():
     with pytest.raises(ValueError):
         LogCorrected(n_dim=2, alpha=1.0, r0=1.0)
@@ -157,9 +164,15 @@ def test_logcorrected_nonnegative_flag_is_exact(n_dim, alpha, r0):
     assert p.nonnegative is bool(np.min(p.psi(r)) >= 0)
 
 
-def test_vectorized_matches_scalar():
-    p = PowerLaw(2.0, -1.0, 1.0)
-    rs = np.array([0.0, 0.4, 1.0, 2.5])
-    np.testing.assert_allclose(p.psi(rs), [p.psi(float(r)) for r in rs], rtol=1e-15)
-    np.testing.assert_allclose(p.psi_integral(rs), [p.psi_integral(float(r)) for r in rs],
-                               rtol=1e-15)
+@pytest.mark.parametrize("method", ["psi", "psi_integral", "psi_plus_integral"])
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: type(p).__name__)
+def test_vectorized_matches_scalar(profile, method):
+    # one scalar/array template: a scalar radius gives a float, the very entry of an array
+    f = getattr(profile, method)
+    rs = np.array([0.0, 0.4, 0.5, 1.0, 1.5, 2.0, math.e, 2.5, 4.0])
+    values = f(rs)
+    for r, value in zip(rs, values):
+        scalar = f(float(r))
+        assert type(scalar) is float and scalar == value, r
+    with pytest.raises(ValueError):
+        f(-0.5)

@@ -606,8 +606,18 @@ LARGE_DIMENSIONS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nod
     for n, r_max in ((173, 5), (238, 20), (300, 20))]
 
 
+# psi(r0) = A r0^beta past the double range is refused; with A = 400, beta = -1, r0 = 10,
+# K = phi(r0) r0^A of the power tail overflows while the weight mass is finite
+HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta = {b}\nr0 = {r0}")
+               .replace("n = 2", "n = 2\nr_max = 20\nnum_nodes = 201") + "\n[run]\nt_end = 0.2\n"
+               for a, b, r0 in (("1", "400", "10"), ("1", "-400", "0.01"), ("400", "-1", "10"))]
+
+
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
+@example(HUGE_POWERS[0])
+@example(HUGE_POWERS[1])
+@example(HUGE_POWERS[2])
 @example(EXPLICIT_LINEAR)
 @example(OVERFLOWING_MASS)
 @example(TINY_AMPLITUDES[0])

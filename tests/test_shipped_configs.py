@@ -28,9 +28,11 @@ def test_lab_reference_scenarios_are_the_shipped_configs(stem, reference):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-def test_verdict_matches_observed_behavior(path):
+def test_verdict_matches_observed_behavior(path, verified):
     scenario = parse_scenario(path.read_text(), name=path.stem)
-    report = lab.run(scenario)
+    # a shipped config that is a reference run (see the test above) was run by the verify
+    # suites already; its report is read back rather than solved a second time
+    report = verified[2].get(scenario) or lab.run(scenario)
     detail = (
         f"{scenario.name}: verdict={report.classification.verdict.value} "
         f"final_center={report.final_center:.6g} final_sup={report.final_sup:.6g} "

@@ -259,6 +259,35 @@ def test_phi_mass_past_the_range_of_the_gamma_function():
     assert result.phi_mass == pytest.approx(1.244901768990049e170, rel=1e-11)
 
 
+@pytest.mark.parametrize("profile, far", [
+    # phi(r0) r0^n / (A - n) and phi(r0) r0^n log(r0) / (alpha - 1) hold none of the factors
+    # r0^A, log(r0)^alpha and phi(r0) that leave the double range in K
+    (PowerLaw(400.0, -1.0, 10.0), lambda phi0, r0: phi0 * r0**2 / (400.0 - 2.0)),
+    (PowerLaw(400.0, -1.0, 0.1), lambda phi0, r0: phi0 * r0**2 / (400.0 - 2.0)),
+    (LogCorrected(n_dim=2, alpha=300.0, r0=1e10),
+     lambda phi0, r0: phi0 * r0**2 * math.log(r0) / (300.0 - 1.0)),
+], ids=["power-K-overflows", "power-K-underflows", "log-K-overflows"])
+def test_tail_constant_past_the_double_range_keeps_the_weight_mass(profile, far):
+    tail = profile.tail()
+    assert tail.K in (0.0, math.inf) and math.isfinite(tail.log_K)
+    w, r0, area = WeightFunction(profile), profile.r0, unit_sphere_area(2)
+    assert phi_tail_bound(w, 2, r0) == pytest.approx(area * far(w.phi(r0), r0), rel=1e-12)
+    result = classify(profile, 2)
+    assert result.verdict.lifts_off and math.isfinite(result.phi_mass)
+    near = phi_radial_integral(w, 2, r0)
+    assert result.phi_mass == pytest.approx(area * (near + far(w.phi(r0), r0)), rel=1e-12)
+
+
+def test_log_tail_constant_past_the_double_range_keeps_the_verdict():
+    # phi(r0) = e^3073 overflows; alpha = -300 <= 1 still diverges: a critical decay
+    result = classify(LogCorrected(n_dim=2, alpha=-300.0, r0=1.05), 2)
+    assert result.verdict is Verdict.CRITICAL_DECAY and result.phi_mass == math.inf
+    # r0^2 overflows K; the convergent mass itself is past the double range
+    result = classify(LogCorrected(n_dim=2, alpha=1.5, r0=1e300), 2)
+    assert result.verdict is Verdict.CRITICAL_LIFT_OFF and result.phi_mass == math.inf
+    assert result.note.endswith("; weight mass exceeds the double range")
+
+
 def test_gamma_tail_below_the_least_double_matches_mpmath():
     # c = A/(beta+1) = 2.2e-324 underflows; the tail carries log c, so the mass keeps
     # every digit (with c rounded to the least double it would be 2.49e294).  Reference: 2 pi e^c
