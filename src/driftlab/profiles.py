@@ -54,9 +54,13 @@ class Tail:
     log_p: float = 0.0
 
     def exponent(self, r: float) -> float:
-        """p r^q of a gamma tail, in logarithms where p is below the normal range."""
+        """p r^q of a gamma tail, in logarithms where p is below the normal range or r^q
+        beyond the double range."""
         if self.p >= sys.float_info.min:
-            return self.p * r**self.q
+            try:
+                return self.p * r**self.q
+            except OverflowError:
+                pass
         return math.exp(self.log_p + self.q * math.log(r))
 
 
@@ -104,8 +108,8 @@ class _Mollified(DriftProfile):
 
     def __post_init__(self):
         v = _or_inf(self._knot_value)
-        if not math.isfinite(v):
-            raise ValueError(f"psi(r0) of {self!r} is not a finite double")
+        if not math.isfinite(v * self.r0):  # Psi on the ramp is psi(r0) r0 times a quartic
+            raise ValueError(f"psi(r0) r0 of {self!r} is not a finite double")
         # a monotone cubic ramp ends on a slope ratio in [0, 3]; a decreasing far field would
         # need a negative one, which no monotone ramp can match, so the ratio is limited
         t = min(max(self._slope_ratio(v), 0.0), 3.0) if v != 0.0 else 0.0
@@ -160,8 +164,10 @@ class PowerLaw(_Mollified):
     def _far_integral(self, rf, base):
         if self.exponent == -1.0:
             return base + self.amplitude * np.log(rf / self.r0)
+        # A/g (r^g - r0^g) = psi(r0) r0 expm1(g log(r/r0))/g, g = beta + 1: r0^g can leave
+        # the double range where psi(r0) does not
         g = self.exponent + 1.0
-        return base + self.amplitude / g * (rf ** g - self.r0**g)
+        return base + self._ramp_v * (np.expm1(g * np.log(rf / self.r0)) / g) * self.r0
 
     @property
     def growth_limit(self) -> float:

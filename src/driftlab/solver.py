@@ -24,18 +24,16 @@ a frozen outer node entering as a constant lift on the row before it.  Every
 other operator (a zero or negative coupling, or scales spanning more than
 MAX_LOG_SCALE_RANGE) is stepped on u itself through LU with partial pivoting
 (dgttrf, one dgttrs per step).  Either way the solve is the only matrix work of a
-step: with A = I - theta*dt*L the explicit half is (I - (1-theta)*A)/theta, so for
-1/2 <= theta < 1
+step: theta lies in [1/2, 1], where the scheme is unconditionally stable, and with
+A = I - theta*dt*L the explicit half is (I - (1-theta)*A)/theta, so for theta < 1
 
     u_new = A^-1 (u_old/theta + lift) - ((1-theta)/theta) u_old,
 
 at theta = 1/2 (Crank-Nicolson) 2 A^-1 (u_old + lift/2) - u_old with an exact doubling.
-Below 1/2 the explicit half is multiplied out before the solve: theta = 0 has no solve
-to fold it into, and the factor (1-theta)/theta would amplify rounding.  On the general
-path, whose system keeps a frozen node, the node stays exactly frozen at theta = 1/2
-and 1, and within a few ulps at other theta.  With theta = 1 and upwind advection the
-implicit matrix is an M-matrix with unit row sums, so the update is a convex
-combination of old node values: new values stay inside [min u_old, max u_old],
+On the general path, whose system keeps a frozen node, the node stays exactly frozen at
+theta = 1/2 and 1, and within a few ulps at other theta.  With theta = 1 and upwind
+advection the implicit matrix is an M-matrix with unit row sums, so the update is a
+convex combination of old node values: new values stay inside [min u_old, max u_old],
 non-negativity and radial monotonicity are preserved exactly (up to roundoff).
 """
 
@@ -98,8 +96,9 @@ class DivergenceError(SolverError):
 class SolverConfig:
     """Time-stepping parameters.
 
-    theta = 0.5 is Crank-Nicolson (second order), theta = 1 backward Euler
-    (first order, unconditionally monotone with upwind advection).
+    theta lies in [0.5, 1], where the scheme is unconditionally stable: theta = 0.5
+    is Crank-Nicolson (second order), theta = 1 backward Euler (first order,
+    unconditionally monotone with upwind advection).
     dirichlet_frozen holds the outer node at its initial value; neumann
     enforces u_r(r_max) = 0 by mirror ghost.
     """
@@ -113,8 +112,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if not 0.5 <= self.theta <= 1.0:
+            raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.outer_bc not in OUTER_BCS:
             raise ValueError(f"outer_bc must be one of {OUTER_BCS}, got {self.outer_bc!r}")
         if self.advection not in ADVECTION_MODES:
@@ -196,13 +195,6 @@ def operator_diagonals(grid: RadialGrid, profile: DriftProfile, advection: str =
     return lower, diag, upper
 
 
-def apply_tridiagonal(lower, diag, upper, v):
-    out = diag * v
-    out[1:] += lower[1:] * v[:-1]
-    out[:-1] += upper[:-1] * v[1:]
-    return out
-
-
 # Bound on max(log s) - min(log s) for the symmetric path: the centred scales stay within
 # [2**-256, 2**256], so y = u/s is a normal double for every 2**-766 <= |u| <= 2**767.
 # Past it a stretch of y can sit in subnormals, which cost about ten times a normal step.
@@ -246,25 +238,18 @@ class _ThetaStepper:
             if info > 0:
                 raise SolverError(f"singular implicit system: zero pivot in row {info}")
             self._solve = dgttrs
-            lower, d, upper = lo[1:], d, up[:-1]
         else:
             self.kernel, self._scale = "ldlt", np.exp(log_s)
             self._outer_coupling = dt * up[m - 1] / self._scale[-1]  # frozen node to row m-1
-            lower = upper = np.sqrt(lo[1:m] * up[:m - 1])
-            d = d[:m]
-            *self._factors, info = dpttrf(1.0 - theta * dt * d, -theta * dt * lower)
+            off = np.sqrt(lo[1:m] * up[:m - 1])
+            *self._factors, info = dpttrf(1.0 - theta * dt * d[:m], -theta * dt * off)
             if info > 0:
                 raise SolverError(f"implicit system not positive definite at row {info}")
             self._solve = dpttrs
         self._theta = theta
-        if 0.5 <= theta < 1.0:
-            # the explicit half folded into the solve (see the module docstring)
-            self._fold = (1.0 - theta) / theta
-        elif theta < 0.5:
-            w = (1.0 - theta) * dt
-            self._explicit = (w * lower, w * d, w * upper)
-            self._off = np.empty(len(d) - 1)
-        self._buffer = np.empty(len(d)) if theta < 1.0 else None
+        # the explicit half folded into the solve (see the module docstring)
+        self._fold = (1.0 - theta) / theta
+        self._buffer = np.empty(N if log_s is None else m) if theta < 1.0 else None
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """A fresh copy of u for the steps to act on: y = u/s without the frozen node on the
@@ -288,20 +273,11 @@ class _ThetaStepper:
             rhs = x
         else:
             rhs, self._buffer = self._buffer, x  # the old state is the next step's buffer
-            if theta >= 0.5:
-                np.multiply(x, 1.0 / theta, out=rhs)
-            else:
-                # x + apply_tridiagonal(w*lo, w*d, w*up, x), same operation order, no allocation
-                lo, d, up = self._explicit
-                off = self._off
-                np.multiply(d, x, out=rhs)
-                rhs[1:] += np.multiply(lo, x[:-1], out=off)
-                rhs[:-1] += np.multiply(up, x[1:], out=off)
-                np.add(x, rhs, out=rhs)
+            np.multiply(x, 1.0 / theta, out=rhs)
         if self._lift:
             rhs[-1] += self._lift
         new = self._solve(*self._factors, rhs, overwrite_b=1)[0]
-        if 0.5 <= theta < 1.0:
+        if theta < 1.0:
             if self._fold != 1.0:
                 x *= self._fold
             new -= x

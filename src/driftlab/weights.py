@@ -343,6 +343,12 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
             mass = unit_sphere_area(n_dim) * phi_radial_integral(w, n_dim, math.inf)
         except ValueError:  # the closed-form weight-mass integral diverges
             mass = None
+        if mass == 0.0:  # phi sits nearer the origin than the quadrature or a double resolves
+            return ClassificationResult(
+                Verdict.UNDETERMINED, L, None,
+                note=f"averaged growth {L:g} reaches dimension {n_dim}, but the weight mass "
+                "underflows to 0: no plateau level to predict",
+            )
         extra = "; weight mass exceeds the double range" if mass == math.inf else ""
         if not critical:
             return ClassificationResult(

@@ -358,6 +358,30 @@ def test_cli_simulate_rejects_an_overflowing_weight(tmp_path, capsys, monkeypatc
     assert "error: profile:" in capsys.readouterr().err
 
 
+def test_cli_simulate_refuses_theta_below_one_half(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lab, "simulate", None)  # any simulation attempt raises TypeError
+    cfg = _write_config(tmp_path,
+                        FAST_SUPERCRITICAL.replace("dt = 4e-3", "dt = 4e-3\ntheta = 0.25"))
+    rc = cli.main(["simulate", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: solver: theta must lie in [0.5, 1], got 0.25\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_runs_a_lift_off_whose_weight_mass_underflows(tmp_path, capsys):
+    # psi = r^300 beyond r0 = 10 stays a double up to r_max = 10.5: an undetermined verdict
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace(
+        "A = 3\nbeta = -1\nr0 = 1", "A = 1\nbeta = 300\nr0 = 10").replace(
+        "r_max = 20\nnum_nodes = 801", "r_max = 10.5\nnum_nodes = 106").replace(
+        "t_end = 2.0\ndiag_radius = 16", "t_end = 0.2\ndiag_radius = 10"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "fast-super" / "report.json").read_text())
+    assert report["verdict"] == "undetermined" and report["phi_mass"] is None
+    assert "weight mass underflows" in report["classifier_note"]
+
+
 def test_benchmark_tracer_names_exist(monkeypatch):
     # perfbench's tracer wraps these names by attribute; a missing one breaks --trace 1
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ def test_powerlaw_rejects_a_knot_value_past_the_double_range():
     for exponent, r0 in ((400.0, 10.0), (-400.0, 0.01)):
         with pytest.raises(ValueError, match="not a finite double"):
             PowerLaw(1.0, exponent, r0)
+
+
+def test_powerlaw_rejects_a_ramp_scale_past_the_double_range():
+    # psi(r0) = 10^308 is a double; psi(r0) r0 = 10^309, the scale of Psi on the ramp, is not
+    with pytest.raises(ValueError, match=r"^psi\(r0\) r0 of .* is not a finite double$"):
+        PowerLaw(1.0, 308.0, 10.0)
+
+
+def test_powerlaw_integral_where_r0_to_the_g_is_no_double():
+    # beta = 308, r0 = 10: r0^(beta+1) = 10^309 overflows while A/(beta+1) r0^(beta+1) does
+    # not; the reference is the closed form in 40 digits, with the ramp's share v r0 / 4
+    mpmath = pytest.importorskip("mpmath")
+    radii = (10.0, 10.1, 10.5)
+    p = PowerLaw(1e-10, 308.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = p.psi_integral(np.array(radii))
+    with mpmath.workdps(40):
+        A, g, r0 = mpmath.mpf(1e-10), mpmath.mpf(309), mpmath.mpf(10)
+        ref = [float(A * r0**g / 4 + A / g * (mpmath.mpf(r)**g - r0**g)) for r in radii]
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
 def test_logcorrected_requires_r0_beyond_one():

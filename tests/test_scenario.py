@@ -14,6 +14,7 @@ from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.scenario import (DOCUMENT, ScenarioError, TabulatedInitial, apply_parameter,
                                 parse_scenario)
+from driftlab.solver import SolverConfig
 
 MINIMAL = """
 [profile]
@@ -480,15 +481,13 @@ dt = 1e-3
 
 
 def test_unstable_theta_scheme_is_rejected_before_any_step():
-    # the origin row's Gershgorin sum 4n/h^2 = 12800 bounds |lambda|: dt <= 2/12800
-    with pytest.raises(ScenarioError, match=r"^solver\.dt: theta = 0 is unstable at dt = 0\.001; "
-                                            r"the largest stable dt is 1\.5625e-04$"):
-        parse_scenario(EXPLICIT_LINEAR)
-    stable = parse_scenario(EXPLICIT_LINEAR.replace("dt = 1e-3", "dt = 1.5e-4"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = lab.run(stable)
-    assert report.invariants["positivity"]
+    # below 1/2 the theta-scheme is only conditionally stable: refused at every dt
+    for theta, shown in (("0", "0.0"), ("0.25", "0.25")):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(EXPLICIT_LINEAR.replace("theta = 0\n", f"theta = {theta}\n"))
+        assert str(exc.value) == f"solver: theta must lie in [0.5, 1], got {shown}"
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0\.5, 1\], got 0\.4$"):
+        SolverConfig(dt=1e-3, theta=0.4)
 
 
 def test_the_grid_radius_power_must_be_a_double():
@@ -550,7 +549,8 @@ def documents(draw):
     else:
         values = st.floats(-1, 2)
         initial = f"kind = tabulated\nsamples = {_sample_list(draw, r_max, values, values)}\n"
-    theta, advection = draw(st.sampled_from([(1.0, "upwind"), (0.5, "centered")]))
+    theta, advection = draw(st.sampled_from([(1.0, "upwind"), (0.5, "centered"),
+                                             (0.75, "centered")]))
     dt = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
     steps = draw(st.integers(1, 400))
     return (f"[profile]\n{profile}\n"
@@ -607,10 +607,12 @@ LARGE_DIMENSIONS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nod
 
 
 # psi(r0) = A r0^beta past the double range is refused; with A = 400, beta = -1, r0 = 10,
-# K = phi(r0) r0^A of the power tail overflows while the weight mass is finite
+# K = phi(r0) r0^A of the power tail overflows while the weight mass is finite; with
+# beta = 308, psi(r0) r0 = 10^309 is no double; with beta = 300, psi(r0) is, psi(20) is not
 HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta = {b}\nr0 = {r0}")
                .replace("n = 2", "n = 2\nr_max = 20\nnum_nodes = 201") + "\n[run]\nt_end = 0.2\n"
-               for a, b, r0 in (("1", "400", "10"), ("1", "-400", "0.01"), ("400", "-1", "10"))]
+               for a, b, r0 in (("1", "400", "10"), ("1", "-400", "0.01"), ("400", "-1", "10"),
+                                ("1", "308", "10"), ("1", "300", "10"))]
 
 
 @settings(max_examples=900, deadline=None, derandomize=True)
@@ -618,6 +620,8 @@ HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta =
 @example(HUGE_POWERS[0])
 @example(HUGE_POWERS[1])
 @example(HUGE_POWERS[2])
+@example(HUGE_POWERS[3])
+@example(HUGE_POWERS[4])
 @example(EXPLICIT_LINEAR)
 @example(OVERFLOWING_MASS)
 @example(TINY_AMPLITUDES[0])
@@ -642,6 +646,19 @@ def test_accepted_documents_run_and_keep_the_certified_guarantees(doc):
     if scenario.solver.theta == 1.0 and scenario.solver.advection == "upwind":
         for name in ("positivity", "max_principle", "radial_monotonicity"):
             assert report.invariants[name] is not False, name
+
+
+def test_a_drift_past_the_double_range_is_refused_naming_the_profile():
+    for doc, message in (
+            (HUGE_POWERS[3], "profile: psi(r0) r0 of PowerLaw(amplitude=1.0, exponent=308.0, "
+                             "r0=10.0) is not a finite double"),
+            (HUGE_POWERS[4], "profile: psi(r_max) of PowerLaw(amplitude=1.0, exponent=300.0, "
+                             "r0=10.0) at r_max = 20 is not a finite double")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(doc)
+        assert str(exc.value) == message
 
 
 def test_overflowing_weight_mass_is_a_lift_off_with_an_infinite_mass():

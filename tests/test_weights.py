@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,19 @@ def test_log_tail_constant_past_the_double_range_keeps_the_verdict():
     result = classify(LogCorrected(n_dim=2, alpha=1.5, r0=1e300), 2)
     assert result.verdict is Verdict.CRITICAL_LIFT_OFF and result.phi_mass == math.inf
     assert result.note.endswith("; weight mass exceeds the double range")
+
+
+@pytest.mark.parametrize("profile", [PowerLaw(1.0, 300.0, 10.0), PowerLaw(1e-10, 308.0, 10.0),
+                                     PowerLaw(1e300, -1.0, 1.0)], ids=["b300", "b308", "A1e300"])
+def test_a_lift_off_whose_weight_mass_underflows_is_undetermined(profile):
+    # Psi grows like 1e296 r^4 (1e300 r^3 for A = 1e300) on the ramp: phi vanishes in doubles
+    # beyond r ~ 1e-73 (1e-100), inside the first quadrature panel, and beyond r0 the gamma
+    # tail's r0^(beta+1) leaves the double range; the weight mass reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = classify(profile, 2)
+    assert result.verdict is Verdict.UNDETERMINED and result.phi_mass is None
+    assert result.note.endswith("but the weight mass underflows to 0: no plateau level to predict")
 
 
 def test_gamma_tail_below_the_least_double_matches_mpmath():
