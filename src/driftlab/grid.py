@@ -56,6 +56,9 @@ class RadialGrid:
         if self.n_dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n_dim}")
 
+    def __reduce__(self):  # without the cached nodes, which unpickle writeable
+        return RadialGrid, (self.r_max, self.num_nodes, self.n_dim)
+
     @property
     def spacing(self) -> float:
         return self.r_max / (self.num_nodes - 1)
@@ -110,12 +113,11 @@ class RadialField:
     def __setattr__(self, name, value):
         raise AttributeError("RadialField is immutable")
 
+    def __reduce__(self):  # unpickled through __init__: validated and read-only again
+        return RadialField, (self.grid, self.values)
+
     def __len__(self) -> int:
         return self.grid.num_nodes
-
-    @classmethod
-    def from_function(cls, grid: RadialGrid, fn) -> "RadialField":
-        return cls(grid, fn(grid.nodes))
 
     def is_radially_nonincreasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0.0))

@@ -43,7 +43,8 @@ def _or_inf(product) -> float:
 class Tail:
     """phi = exp(-Psi) beyond the knot: "power" K r^-p (the constant K at p = 0),
     "gamma" K exp(-p r^q) with p, q > 0, or "log" K r^-p (log r)^-q.  log_K stays
-    finite where K overflows; a gamma tail's log_p is log p, exact where p underflows."""
+    finite where K overflows, unless p r^q does at the knot; a gamma tail's log_p is
+    log p, exact where p underflows or overflows."""
 
     kind: str
     knot: float
@@ -185,11 +186,14 @@ class PowerLaw(_Mollified):
         g = self.exponent + 1.0
         if A > 0 and g > 0:
             c = A / g
-            # where A/g underflows, log c from A and g keeps the digits c r^g and c^-s need
-            log_c = math.log(c) if c >= sys.float_info.min else math.log(A) - math.log(g)
+            # where A/g underflows or overflows, log c from A and g keeps the digits c r^g
+            # and c^-s need
+            normal = sys.float_info.min <= c <= sys.float_info.max
+            log_c = math.log(c) if normal else math.log(A) - math.log(g)
             x0 = Tail("gamma", knot, 1.0, c, g, log_p=log_c).exponent(knot)  # c r0^g
-            # K = inf where e^{c r0^g} leaves the double range; log K stays finite
-            K = _or_inf(lambda: math.exp(log_phi0) * math.exp(x0))
+            # K = inf where e^{c r0^g} leaves the double range; log K stays finite unless
+            # c r0^g does too, and then Psi(r0) >= g c r0^g / 4 > 1e291: phi reads 0 from r0 on
+            K = _or_inf(lambda: math.exp(log_phi0) * math.exp(x0)) if x0 < math.inf else math.inf
             return Tail("gamma", knot, K, c, g, x0 + log_phi0, log_c)
         return None
 

@@ -150,6 +150,9 @@ class Trajectory:
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
 
+    def __reduce__(self):  # unpickled through __init__: validated and read-only again
+        return Trajectory, tuple(getattr(self, name) for name in self.__slots__)
+
     def __len__(self):
         return len(self.times)
 

@@ -171,8 +171,10 @@ def _monomial_integral(tail: Tail, e: float, a: float, b: float) -> float:
 
 
 def _gamma_span(scale, log_scale: float, s: float, xa: float, xb: float) -> float:
-    """scale() (Gamma(s, xa) - Gamma(s, xb)), xb may be math.inf; where that is not finite
-    (a factor left the double range), each term in logarithms from log_scale."""
+    """scale() (Gamma(s, xa) - Gamma(s, xb)), xa <= xb may be math.inf; where that is not
+    finite (a factor left the double range), each term in logarithms from log_scale."""
+    if math.isinf(xa):  # an empty span: the exponent left the double range, phi reads 0
+        return 0.0
     hi = 0.0 if math.isinf(xb) else upper_gamma(s, xb)
     try:
         out = scale() * (upper_gamma(s, xa) - hi)
@@ -228,15 +230,18 @@ def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float
     npts = int(min(max(32, math.ceil((b - a) * PANELS_PER_UNIT)), 4_000_000)) + 1
     r = np.linspace(a, b, npts)
     with np.errstate(over="ignore"):
-        f = np.asarray(w.phi(r)) * r ** (n_dim - 1)
-        return float(np.trapezoid(f, r))
+        phi = np.asarray(w.phi(r))
+        if not phi[1:].any():  # phi falls to 0 within the first panel, which cannot resolve it
+            return 0.0
+        return float(np.trapezoid(phi * r ** (n_dim - 1), r))
 
 
 def phi_radial_integral(w: WeightFunction, n_dim: int, upper: float, lower: float = 0.0) -> float:
     """int_lower^upper phi(r) r^{n-1} dr (no unit-sphere factor).
 
     upper may be math.inf: every tail has a closed form there, and a
-    ValueError reports divergence (or a weight with no tail at all).
+    ValueError reports divergence (or a weight with no tail at all).  A weight
+    that falls to 0 within the first trapezoid panel of a segment reads 0 there.
     """
     if lower < 0 or (not math.isinf(upper) and upper < lower):
         raise ValueError(f"bad integration bounds [{lower}, {upper}]")
@@ -347,7 +352,8 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
             return ClassificationResult(
                 Verdict.UNDETERMINED, L, None,
                 note=f"averaged growth {L:g} reaches dimension {n_dim}, but the weight mass "
-                "underflows to 0: no plateau level to predict",
+                "reads 0 (phi falls to 0 within the first quadrature panel, or the mass "
+                "underflows): no plateau level to predict",
             )
         extra = "; weight mass exceeds the double range" if mass == math.inf else ""
         if not critical:

@@ -369,28 +369,48 @@ def test_cli_simulate_refuses_theta_below_one_half(tmp_path, capsys, monkeypatch
 
 
 def test_cli_simulate_runs_a_lift_off_whose_weight_mass_underflows(tmp_path, capsys):
-    # psi = r^300 beyond r0 = 10 stays a double up to r_max = 10.5: an undetermined verdict
-    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace(
-        "A = 3\nbeta = -1\nr0 = 1", "A = 1\nbeta = 300\nr0 = 10").replace(
-        "r_max = 20\nnum_nodes = 801", "r_max = 10.5\nnum_nodes = 106").replace(
-        "t_end = 2.0\ndiag_radius = 16", "t_end = 0.2\ndiag_radius = 10"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
-    report = json.loads((tmp_path / "out" / "fast-super" / "report.json").read_text())
-    assert report["verdict"] == "undetermined" and report["phi_mass"] is None
-    assert "weight mass underflows" in report["classifier_note"]
+    # psi = r^300 beyond r0 = 10 stays a double up to r_max = 10.5: an undetermined verdict,
+    # in n = 1 too, where the first quadrature panel alone would count a weight mass of 1e-4
+    for n, nodes in ((2, 106), (1, 201)):
+        cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace(
+            "A = 3\nbeta = -1\nr0 = 1", "A = 1\nbeta = 300\nr0 = 10").replace(
+            "n = 2\nr_max = 20\nnum_nodes = 801",
+            f"n = {n}\nr_max = 10.5\nnum_nodes = {nodes}").replace(
+            "t_end = 2.0\ndiag_radius = 16", "t_end = 0.2\ndiag_radius = 10"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "fast-super" / "report.json").read_text())
+        assert report["verdict"] == "undetermined" and report["phi_mass"] is None
+        assert "weight mass reads 0" in report["classifier_note"]
 
 
-def test_benchmark_tracer_names_exist(monkeypatch):
-    # perfbench's tracer wraps these names by attribute; a missing one breaks --trace 1
+def _load_tracing(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up there
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    # perfbench's tracer wraps these names by attribute; a missing one breaks --trace 1
+    tracing = _load_tracing(monkeypatch)
     assert [n for n in tracing.LAB_NAMES if not hasattr(lab, n)] == []
     assert [n for n in tracing.CLI_NAMES if not hasattr(cli, n)] == []
+
+
+def test_benchmark_trace_of_a_simulate_counts_its_solve(tmp_path, monkeypatch):
+    # the tracer reads lab.solve's positional arguments (u0, profile, config, t_end)
+    tracing = _load_tracing(monkeypatch)
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
+    with tracing.Tracer(lab, cli) as tracer:
+        assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
+    m = tracing.layer_metrics(tracer.spans)
+    assert m["solver.solve_calls"] == 1
+    assert m["solver.node_steps"] == 801 * 500  # num_nodes x (t_end / dt)
+    assert m["lab.artifacts_s"] > 0
 
 
 def test_sweep_alpha_threshold_in_critical_family():

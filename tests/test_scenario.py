@@ -608,11 +608,13 @@ LARGE_DIMENSIONS = [MINIMAL.replace("n = 2", f"n = {n}\nr_max = {r_max}\nnum_nod
 
 # psi(r0) = A r0^beta past the double range is refused; with A = 400, beta = -1, r0 = 10,
 # K = phi(r0) r0^A of the power tail overflows while the weight mass is finite; with
-# beta = 308, psi(r0) r0 = 10^309 is no double; with beta = 300, psi(r0) is, psi(20) is not
+# beta = 308, psi(r0) r0 = 10^309 is no double; with beta = 300, psi(r0) is, psi(20) is not;
+# with A = 1e303, beta = -0.999999, the gamma tail's c = A/(beta+1) = 1e309 is no double
 HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta = {b}\nr0 = {r0}")
                .replace("n = 2", "n = 2\nr_max = 20\nnum_nodes = 201") + "\n[run]\nt_end = 0.2\n"
                for a, b, r0 in (("1", "400", "10"), ("1", "-400", "0.01"), ("400", "-1", "10"),
-                                ("1", "308", "10"), ("1", "300", "10"))]
+                                ("1", "308", "10"), ("1", "300", "10"),
+                                ("1e303", "-0.999999", "1"))]
 
 
 @settings(max_examples=900, deadline=None, derandomize=True)
@@ -622,6 +624,7 @@ HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta =
 @example(HUGE_POWERS[2])
 @example(HUGE_POWERS[3])
 @example(HUGE_POWERS[4])
+@example(HUGE_POWERS[5])
 @example(EXPLICIT_LINEAR)
 @example(OVERFLOWING_MASS)
 @example(TINY_AMPLITUDES[0])

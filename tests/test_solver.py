@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ def test_rhs_constant_field_is_zero():
 def test_rhs_quadratic_in_three_dimensions():
     # Lap(r^2) = 2n = 6; centered differences are exact on quadratics
     g = _grid(n_dim=3)
-    u = RadialField.from_function(g, lambda r: r**2)
+    u = RadialField(g, g.nodes**2)
     out = apply_tridiagonal(*operator_diagonals(g, Zero(), "centered", "dirichlet_frozen"),
                             u.values)
     np.testing.assert_allclose(out[1:-1], 6.0, rtol=1e-10)
@@ -57,7 +59,7 @@ def test_rhs_quadratic_in_three_dimensions():
 def test_rhs_origin_symmetry_limit():
     # at r = 0 the operator is n * u_rr(0); for u = r^2, n = 2 this is 4
     g = _grid(n_dim=2)
-    u = RadialField.from_function(g, lambda r: r**2)
+    u = RadialField(g, g.nodes**2)
     out = apply_tridiagonal(*operator_diagonals(g, Zero(), "centered", "dirichlet_frozen"),
                             u.values)
     assert out[0] == pytest.approx(4.0, rel=1e-10)
@@ -65,7 +67,7 @@ def test_rhs_origin_symmetry_limit():
 
 def test_rhs_frozen_outer_row_is_zero():
     g = _grid()
-    u = RadialField.from_function(g, lambda r: np.exp(-r))
+    u = RadialField(g, np.exp(-g.nodes))
     out = apply_tridiagonal(*operator_diagonals(g, Linear(), "centered", "dirichlet_frozen"),
                             u.values)
     assert out[-1] == 0.0
@@ -140,7 +142,7 @@ def test_monotonicity_preserved_upwind():
 
 def test_positivity_and_center_positive():
     g = _grid(nodes=101)
-    bump = RadialField.from_function(g, lambda r: np.where(r < 2.0, (2.0 - r) ** 2, 0.0))
+    bump = RadialField(g, np.where(g.nodes < 2.0, (2.0 - g.nodes) ** 2, 0.0))
     cfg = SolverConfig(dt=5e-3, theta=1.0, advection="upwind", snapshot_stride=10)
     traj = solve(bump, PowerLaw(3.0, -1.0, 1.0), cfg, 0.5)
     for t, row in zip(traj.times, traj.values):
@@ -151,7 +153,7 @@ def test_positivity_and_center_positive():
 
 def test_sup_decreasing_for_pure_diffusion():
     g = _grid(nodes=401)
-    u0 = RadialField.from_function(g, lambda r: np.maximum(1.0 - r, 0.0))
+    u0 = RadialField(g, np.maximum(1.0 - g.nodes, 0.0))
     cfg = SolverConfig(dt=2e-3, theta=1.0, advection="upwind", snapshot_stride=25)
     traj = solve(u0, Zero(), cfg, 0.5)
     sups = traj.values.max(axis=1)
@@ -161,7 +163,7 @@ def test_sup_decreasing_for_pure_diffusion():
 def test_linearity_of_solve():
     g = _grid(nodes=151)
     u0 = GaussianData(1.0, 2).field(g)
-    v0 = RadialField.from_function(g, lambda r: np.exp(-((r - 2.0) ** 2)))
+    v0 = RadialField(g, np.exp(-((g.nodes - 2.0) ** 2)))
     mix = RadialField(g, 2.0 * u0.values - 0.5 * v0.values)
     cfg = SolverConfig(dt=5e-3, theta=0.5, snapshot_stride=20)
     p = PowerLaw(3.0, -1.0, 1.0)
@@ -488,6 +490,20 @@ def test_trajectory_is_read_only():
         traj.times[0] = 1.0
     with pytest.raises(AttributeError):
         traj.values = np.zeros_like(traj.values)
+
+
+def test_trajectory_and_field_unpickle_validated_and_read_only():
+    g = _grid(nodes=51)
+    traj = solve(GaussianData(1.0, 2).field(g), Zero(), SolverConfig(dt=0.1), 0.3)
+    back = pickle.loads(pickle.dumps(traj))
+    assert np.array_equal(back.times, traj.times) and np.array_equal(back.values, traj.values)
+    assert not back.times.flags.writeable and not back.values.flags.writeable
+    assert back.kernel == traj.kernel and back.grid == g and back.config == traj.config
+    assert not back.grid.nodes.flags.writeable  # the grid's cached nodes are rebuilt, not copied
+    final = pickle.loads(pickle.dumps(traj.final))
+    assert np.array_equal(final.values, traj.values[-1]) and not final.values.flags.writeable
+    with pytest.raises(AttributeError):
+        back.values = np.zeros_like(traj.values)
 
 
 def test_solver_config_validation():

@@ -107,7 +107,7 @@ def test_weighted_mass_zero_field():
 def test_weighted_mass_gaussian_against_quadrature():
     # u = e^{-r^2/4}, psi = r, n = 2: int e^{-3 r^2/4} dx = 4 pi / 3
     g = RadialGrid(20.0, 2001, 2)
-    u = RadialField.from_function(g, lambda r: np.exp(-r * r / 4.0))
+    u = RadialField(g, np.exp(-g.nodes * g.nodes / 4.0))
     w = WeightFunction(Linear())
     expected, _ = quad(lambda r: math.exp(-0.75 * r * r) * 2 * math.pi * r, 0.0, 20.0)
     assert expected == pytest.approx(4 * math.pi / 3, rel=1e-10)
@@ -290,16 +290,29 @@ def test_log_tail_constant_past_the_double_range_keeps_the_verdict():
 
 
 @pytest.mark.parametrize("profile", [PowerLaw(1.0, 300.0, 10.0), PowerLaw(1e-10, 308.0, 10.0),
-                                     PowerLaw(1e300, -1.0, 1.0)], ids=["b300", "b308", "A1e300"])
+                                     PowerLaw(1e300, -1.0, 1.0), PowerLaw(1e303, -0.999999, 1.0)],
+                         ids=["b300", "b308", "A1e300", "A1e303"])
 def test_a_lift_off_whose_weight_mass_underflows_is_undetermined(profile):
-    # Psi grows like 1e296 r^4 (1e300 r^3 for A = 1e300) on the ramp: phi vanishes in doubles
-    # beyond r ~ 1e-73 (1e-100), inside the first quadrature panel, and beyond r0 the gamma
-    # tail's r0^(beta+1) leaves the double range; the weight mass reads 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = classify(profile, 2)
-    assert result.verdict is Verdict.UNDETERMINED and result.phi_mass is None
-    assert result.note.endswith("but the weight mass underflows to 0: no plateau level to predict")
+    # Psi grows like 1e296 r^4 (1e300 r^3 for A = 1e300, 1e303 r^3 for A = 1e303) on the
+    # ramp: phi vanishes in doubles beyond r ~ 1e-73 (1e-100, 1e-101), inside the first
+    # quadrature panel, in every dimension (in n = 1 that panel alone would count phi(0) h/2)
+    for n in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = classify(profile, n)
+        assert result.verdict is Verdict.UNDETERMINED and result.phi_mass is None
+        assert result.note.endswith("but the weight mass reads 0 (phi falls to 0 within the first "
+                                    "quadrature panel, or the mass underflows): no plateau "
+                                    "level to predict")
+
+
+def test_gamma_tail_whose_constant_overflows_is_free_of_nan():
+    # c = A/(beta+1) = 1e309 and c r0^g leave the double range; log c is log A - log g
+    tail = PowerLaw(1e303, -0.999999, 1.0).tail()
+    assert not any(math.isnan(v) for v in (tail.K, tail.p, tail.q, tail.log_K, tail.log_p))
+    assert tail.log_p == pytest.approx(math.log(1e303) - math.log(1e-6), rel=1e-9)
+    assert tail.exponent(1.0) == math.inf
+    assert phi_tail_bound(WeightFunction(PowerLaw(1e303, -0.999999, 1.0)), 2, 1.0) == 0.0
 
 
 def test_gamma_tail_below_the_least_double_matches_mpmath():
