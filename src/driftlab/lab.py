@@ -173,9 +173,8 @@ def series_measures(series: DiagnosticSeries) -> dict:
 def _invariant_flags(traj: Trajectory, u0: RadialField, series: DiagnosticSeries,
                      lifts_off: bool | None) -> dict:
     """Pass/fail flags for the invariants this run can certify; None = not applicable."""
-    cfg = traj.config
+    certified = traj.config.certified
     v0 = u0.values
-    certified = cfg.theta == 1.0 and cfg.advection == "upwind"
     m = field_measures(traj.values)
     s = series_measures(series)
     weighted = lifts_off is not None and abs(series.weighted_mass[0]) >= 1e-300
@@ -233,49 +232,28 @@ def relaxation_exponent(result: ClassificationResult, n_dim: int) -> float | Non
     return (L - n_dim) / 2
 
 
-def _relaxation_window(times, center):
-    """The frames with t >= t_end/2, or None when fewer than RELAXATION_MIN_FRAMES."""
+def relaxation_fit(times, center, rates=RELAXATION_RATE_GRID) -> tuple[float, float] | None:
+    """(p, h) of the least-squares fit center = h + C t^-p over the frames with t >= t_end/2.
+
+    For each rate p in rates, h and C are a straight-line regression on x = t^-p in
+    closed form (a first np.linalg.lstsq call initializes numpy's LAPACK, +1.2 MB peak
+    RSS); the rate with the least residual wins, so the default grid resolves p to 1e-3
+    and clips it to (0, 4].  None when fewer than RELAXATION_MIN_FRAMES frames exist.
+    """
     t = np.asarray(times, dtype=float)
     keep = t >= t[-1] / 2
     if np.count_nonzero(keep) < RELAXATION_MIN_FRAMES:
         return None
-    return t[keep], np.asarray(center, dtype=float)[keep]
-
-
-def relaxation_limit(times, center, exponent: float) -> float | None:
-    """Intercept h of the least-squares fit center = h + C t^-exponent.
-
-    The fit uses the frames with t >= t_end/2; None when fewer than
-    RELAXATION_MIN_FRAMES of them exist.
-    """
-    window = _relaxation_window(times, center)
-    if window is None:
-        return None
-    t, y = window
-    # straight-line regression on x = t^-exponent in closed form: a first
-    # np.linalg.lstsq call initializes numpy's LAPACK (+1.2 MB peak RSS)
-    x = t ** -exponent
-    xc = x - x.mean()
-    slope = np.dot(xc, y - y.mean()) / np.dot(xc, xc)
-    return float(y.mean() - slope * x.mean())
-
-
-def fitted_relaxation_exponent(times, center) -> float | None:
-    """Rate p of the least-squares fit center = h + C t^-p with h, C and p free.
-
-    The fit uses the frames with t >= t_end/2 and scans p over
-    RELAXATION_RATE_GRID, so p is resolved to 1e-3 and clipped to (0, 4];
-    None when fewer than RELAXATION_MIN_FRAMES frames exist.
-    """
-    window = _relaxation_window(times, center)
-    if window is None:
-        return None
-    t, y = window
-    x = t[None, :] ** -RELAXATION_RATE_GRID[:, None]
-    xc = x - x.mean(axis=1, keepdims=True)
+    t, y = t[keep], np.asarray(center, dtype=float)[keep]
+    rates = np.asarray(rates, dtype=float)
+    x = t[None, :] ** -rates[:, None]
+    x_mean = x.mean(axis=1, keepdims=True)
+    xc = x - x_mean
     yc = y - y.mean()
-    resid = yc - (xc @ yc / np.einsum("ij,ij->i", xc, xc))[:, None] * xc
-    return float(RELAXATION_RATE_GRID[np.argmin(np.einsum("ij,ij->i", resid, resid))])
+    slope = xc @ yc / np.vecdot(xc, xc)
+    resid = yc - slope[:, None] * xc
+    k = np.argmin(np.einsum("ij,ij->i", resid, resid))
+    return float(rates[k]), float(y.mean() - slope[k] * x_mean[k, 0])
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -321,8 +299,8 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         h_tail = phi_tail_bound(w, scenario.n_dim, scenario.grid.r_max)
         h_obs = final_center
         discrepancy = plateau_gap(h_obs, h_pred)
-        if p is not None:
-            h_limit = relaxation_limit(series.times, series.center, p)
+        fit = None if p is None else relaxation_fit(series.times, series.center, (p,))
+        h_limit = None if fit is None else fit[1]
         match = discrepancy is not None and discrepancy <= LIFTOFF_LEVEL_RTOL
     elif result.verdict.decays:
         match = series_measures(series)["sup_fraction"] <= DECAY_SUP_FRACTION
@@ -600,7 +578,7 @@ def _suite_relaxation(runs):
     worst, fits = 0.0, []
     for scen in RELAXATION_RUNS:
         rep = runs(run, scen)
-        fitted = fitted_relaxation_exponent(rep.series.times, rep.series.center)
+        fitted, _ = relaxation_fit(rep.series.times, rep.series.center)
         worst = max(worst, abs(fitted - rep.relaxation_exponent))
         fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} (L={scen.profile.amplitude:g}, "
                     f"n={scen.n_dim})")
@@ -661,7 +639,7 @@ def _suite_invariants(runs):
         worst["constant"] = max(worst["constant"], dev)
 
         ta = runs(simulate, scen)
-        if cfg.theta == 1.0:  # the certified scheme keeps the discrete guarantees
+        if cfg.certified:
             for name, value in field_measures(ta.values).items():
                 worst[name] = max(worst[name], value)
 

@@ -121,6 +121,12 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
+    @property
+    def certified(self) -> bool:
+        """theta = 1 with upwind advection: the implicit matrix is an M-matrix, so the scheme
+        keeps positivity, the maximum principle and radial monotonicity."""
+        return self.theta == 1.0 and self.advection == "upwind"
+
 
 class Trajectory:
     """Snapshots of one simulation: times (frames,) and values (frames x nodes), read-only;

@@ -149,120 +149,93 @@ def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
     return False, h
 
 
-def _monomial_integral(tail: Tail, e: float, a: float, b: float) -> float:
-    """K int_a^b x^{e-1} dx of the tail's K, b may be math.inf; ValueError where it diverges.
-    Past the double range, e^(log K + m) (1 - e^{-|e| log(b/a)}) / |e|, m = max(e log a, e log b)."""
-    if math.isinf(b) and e > -1e-300:
+def _monomial_integral(tail: Tail, e: float, a: float) -> float:
+    """K int_a^inf x^{e-1} dx = K a^e / -e of the tail's K; ValueError where it diverges.
+    Past the double range, e^(log K + e log a) / -e."""
+    if e > -1e-300:
         raise ValueError("weight mass integral diverges")
     try:
-        out = (tail.K * math.log(b / a) if abs(e) < 1e-300
-               else -tail.K * a**e / e if math.isinf(b) else tail.K * (b**e - a**e) / e)
+        out = -tail.K * a**e / e
     except OverflowError:
         out = math.inf
     if math.isfinite(out):
         return out
-    span = math.log(b / a)
-    log_i = (math.log(span) if abs(e) < 1e-300 else max(e * math.log(a), e * math.log(b))
-             + math.log(-math.expm1(-abs(e) * span) / abs(e)))
     try:
-        return math.exp(tail.log_K + log_i)
+        return math.exp(tail.log_K + (e * math.log(a) + math.log(1.0 / -e)))
     except OverflowError:
         return math.inf
 
 
-def _gamma_span(scale, log_scale: float, s: float, xa: float, xb: float) -> float:
-    """scale() (Gamma(s, xa) - Gamma(s, xb)), xa <= xb may be math.inf; where that is not
-    finite (a factor left the double range), each term in logarithms from log_scale."""
-    if math.isinf(xa):  # an empty span: the exponent left the double range, phi reads 0
+def _gamma_span(scale, log_scale: float, s: float, xa: float) -> float:
+    """scale() Gamma(s, xa); where that is not finite (a factor left the double range),
+    in logarithms from log_scale."""
+    if math.isinf(xa):  # the exponent left the double range: phi reads 0
         return 0.0
-    hi = 0.0 if math.isinf(xb) else upper_gamma(s, xb)
     try:
-        out = scale() * (upper_gamma(s, xa) - hi)
+        out = scale() * upper_gamma(s, xa)
     except OverflowError:
         out = math.inf
     if math.isfinite(out):
         return out
     try:
-        hi = 0.0 if math.isinf(xb) else math.exp(log_scale + _log_upper_gamma(s, xb))
-        return math.exp(log_scale + _log_upper_gamma(s, xa)) - hi
+        return math.exp(log_scale + _log_upper_gamma(s, xa))
     except OverflowError:
         return math.inf
 
 
-def _far_integral(tail: Tail, n_dim: int, a: float, b: float) -> float | None:
-    """int_a^b phi r^{n-1} dr beyond the tail's knot; b may be math.inf.
-
-    Raises ValueError when the integral diverges; None for a growing log tail
-    (p < n) with finite b, the one case without a closed form.
-    """
+def _far_integral(tail: Tail, n_dim: int, a: float) -> float:
+    """int_a^inf phi r^{n-1} dr beyond the tail's knot; ValueError where it diverges."""
     n = float(n_dim)
     kind, K = tail.kind, tail.K
     if kind == "power":
-        return _monomial_integral(tail, n - tail.p, a, b)
+        return _monomial_integral(tail, n - tail.p, a)
     if kind == "gamma":
         c, g = tail.p, tail.q
         s = n / g
         # where Gamma(s) or c^-s leaves the double range (s beyond ~171), or c underflows
         direct = c >= sys.float_info.min and -s * tail.log_p < 700.0
         return _gamma_span(lambda: K / g * c**(-s) if direct else math.inf,
-                           tail.log_K - math.log(g) - s * tail.log_p, s,
-                           tail.exponent(a), tail.exponent(b))
+                           tail.log_K - math.log(g) - s * tail.log_p, s, tail.exponent(a))
     if kind == "log":
         # t = c log r, c = p - n: K c^{alpha-1} int t^-alpha e^-t dt; at c = 0, K int t^-alpha dt
         alpha, c = tail.q, tail.p - n
         if c == 0.0:
-            return _monomial_integral(tail, 1.0 - alpha, math.log(a), math.log(b))
+            return _monomial_integral(tail, 1.0 - alpha, math.log(a))
         if c < 0.0:
-            if math.isinf(b):
-                raise ValueError("weight mass integral diverges")
-            return None
+            raise ValueError("weight mass integral diverges")
         log_scale = tail.log_K + (alpha - 1.0) * math.log(c)
         return _gamma_span(lambda: K * c ** (alpha - 1.0), log_scale, 1.0 - alpha,
-                           c * math.log(a), c * math.log(b))
+                           c * math.log(a))
     raise AssertionError(f"unknown tail {kind}")
 
 
 def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float:
-    if math.isinf(b):
-        raise ValueError("cannot integrate the weight to infinity without a closed form")
-    if b <= a:
-        return 0.0
+    """int_a^b phi r^{n-1} dr, a < b finite, by trapezoid; 0 where phi falls to 0 within
+    the first panel, which cannot resolve it."""
     npts = int(min(max(32, math.ceil((b - a) * PANELS_PER_UNIT)), 4_000_000)) + 1
     r = np.linspace(a, b, npts)
     with np.errstate(over="ignore"):
         phi = np.asarray(w.phi(r))
-        if not phi[1:].any():  # phi falls to 0 within the first panel, which cannot resolve it
+        if not phi[1:].any():
             return 0.0
         return float(np.trapezoid(phi * r ** (n_dim - 1), r))
 
 
-def phi_radial_integral(w: WeightFunction, n_dim: int, upper: float, lower: float = 0.0) -> float:
-    """int_lower^upper phi(r) r^{n-1} dr (no unit-sphere factor).
-
-    upper may be math.inf: every tail has a closed form there, and a
-    ValueError reports divergence (or a weight with no tail at all).  A weight
-    that falls to 0 within the first trapezoid panel of a segment reads 0 there.
-    """
-    if lower < 0 or (not math.isinf(upper) and upper < lower):
-        raise ValueError(f"bad integration bounds [{lower}, {upper}]")
-    tail = w.tail()
-    knot = math.inf if tail is None else tail.knot
-    total = 0.0
-    if lower < knot:
-        total += _numeric_segment(w, n_dim, lower, min(upper, knot))
-    if upper > knot:
-        a = max(lower, knot)
-        far = _far_integral(tail, n_dim, a, upper)
-        total += _numeric_segment(w, n_dim, a, upper) if far is None else far
-    return total
-
-
 def phi_tail_bound(w: WeightFunction, n_dim: int, beyond: float) -> float | None:
-    """Exact remainder of the weight mass past ``beyond``, or None if unknown."""
-    try:
-        return unit_sphere_area(n_dim) * phi_radial_integral(w, n_dim, math.inf, lower=beyond)
-    except ValueError:
+    """The weight mass past ``beyond``, |S^{n-1}| int_beyond^inf phi r^{n-1} dr: trapezoid
+    up to the tail's knot, closed form past it.  None where it diverges or the weight has
+    no tail; the whole mass at beyond = 0."""
+    if not beyond >= 0.0:
+        raise ValueError(f"weight mass beyond a negative or NaN radius {beyond}")
+    tail = w.tail()
+    if tail is None:
         return None
+    try:
+        far = _far_integral(tail, n_dim, max(beyond, tail.knot))
+    except ValueError:  # the closed-form far field diverges
+        return None
+    near = _numeric_segment(w, n_dim, beyond, tail.knot) if beyond < tail.knot else 0.0
+    return unit_sphere_area(n_dim) * (near + far)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +316,7 @@ def classify(profile: DriftProfile, n_dim: int) -> ClassificationResult:
                 Verdict.UNDETERMINED, L, None,
                 note="critical growth with no symbolic integrability reduction",
             )
-        w = WeightFunction(profile)
-        try:
-            mass = unit_sphere_area(n_dim) * phi_radial_integral(w, n_dim, math.inf)
-        except ValueError:  # the closed-form weight-mass integral diverges
-            mass = None
+        mass = phi_tail_bound(WeightFunction(profile), n_dim, 0.0)
         if mass == 0.0:  # phi sits nearer the origin than the quadrature or a double resolves
             return ClassificationResult(
                 Verdict.UNDETERMINED, L, None,

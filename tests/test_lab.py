@@ -113,6 +113,23 @@ def test_run_decay_uses_positive_part_weight():
     assert report.invariants["max_principle"] is True
 
 
+def test_invariants_suite_grades_only_the_certified_scheme(monkeypatch):
+    # theta = 1 with centered advection is no M-matrix scheme: on 21 nodes the Gaussian
+    # datum loses its radial monotonicity, which the M-matrix bounds must not grade
+    backward_centered = SolverConfig(dt=5e-2, theta=1.0, advection="centered")
+    assert SolverConfig(dt=5e-2, theta=1.0, advection="upwind").certified
+    assert not backward_centered.certified
+    assert not SolverConfig(dt=5e-2, theta=0.5, advection="upwind").certified
+    scen = lab._gaussian("backward-centered", Linear(), 10.0, 21, backward_centered, 1.0, 8.0)
+    assert lab.field_measures(lab.simulate(scen).values)["radial_monotonicity"] > 0.01
+    monkeypatch.setattr(lab, "INVARIANT_RUNS", (scen,))
+    (report,) = lab.verify("invariants")
+    checks = {c.name: c for c in report.checks}
+    for name in ("max_principle", "radial_monotonicity", "positivity"):
+        assert checks[name].passed and checks[name].measured == 0.0, name
+    assert lab.run(scen).invariants["max_principle"] is None
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     s = parse_scenario(FAST_SUPERCRITICAL)
     lab.run(s, out_dir=tmp_path / "a")
@@ -385,25 +402,26 @@ def test_cli_simulate_runs_a_lift_off_whose_weight_mass_underflows(tmp_path, cap
         assert "weight mass reads 0" in report["classifier_note"]
 
 
-def _load_tracing(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up there
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded read-only by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_tracer_names_exist(monkeypatch):
     # perfbench's tracer wraps these names by attribute; a missing one breaks --trace 1
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     assert [n for n in tracing.LAB_NAMES if not hasattr(lab, n)] == []
     assert [n for n in tracing.CLI_NAMES if not hasattr(cli, n)] == []
 
 
 def test_benchmark_trace_of_a_simulate_counts_its_solve(tmp_path, monkeypatch):
     # the tracer reads lab.solve's positional arguments (u0, profile, config, t_end)
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
     with tracing.Tracer(lab, cli) as tracer:
         assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
@@ -411,6 +429,26 @@ def test_benchmark_trace_of_a_simulate_counts_its_solve(tmp_path, monkeypatch):
     assert m["solver.solve_calls"] == 1
     assert m["solver.node_steps"] == 801 * 500  # num_nodes x (t_end / dt)
     assert m["lab.artifacts_s"] > 0
+
+
+def test_benchmark_reference_outputs_match_the_verified_session(verified, tmp_path, monkeypatch):
+    # the values perfbench/reference.json records for verify_reference and
+    # simulate_subcritical, read back by the workloads' own readers from the files the
+    # CLI would write for the session's verify: a drifted value fails here, not only
+    # as the benchmark's outputs_incorrect
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    reference = workloads.load_reference()
+    reports, _, ran = verified
+    suites = workloads.VerifyReference.suites
+    for suite in suites:
+        lab.write_json(tmp_path / f"verify_{suite}.json", reports[suite].to_dict())
+    codes = [0 if reports[suite].passed else 1 for suite in suites]
+    got = workloads.VerifyReference.summary(tmp_path, codes)
+    for suite in suites:
+        assert workloads.mismatches(reference["verify_reference"][suite], got[suite]) == [], suite
+    lab.write_json(tmp_path / "subcritical" / "report.json", ran[lab.SUBCRITICAL].to_dict())
+    got = workloads.SimulateSubcritical.summary(tmp_path, [0])["subcritical"]
+    assert workloads.mismatches(reference["simulate_subcritical"]["subcritical"], got) == []
 
 
 def test_sweep_alpha_threshold_in_critical_family():
@@ -451,13 +489,13 @@ def test_relaxation_limit_recovers_synthetic_level(exponent):
     center = np.empty_like(times)
     center[0] = 1.0  # t = 0 lies outside the fitted window t >= 5
     center[1:] = 0.662177 + 0.164 * times[1:] ** -exponent
-    assert abs(lab.relaxation_limit(times, center, exponent) - 0.662177) <= 1e-12
+    assert abs(lab.relaxation_fit(times, center, (exponent,))[1] - 0.662177) <= 1e-12
 
 
 def test_relaxation_limit_needs_three_frames():
-    assert lab.relaxation_limit([0.0, 1.0, 2.0], [1.0, 0.8, 0.7], 0.5) is None
-    assert lab.relaxation_limit([0.0, 1.0, 1.5, 2.0], [1.0, 0.8, 0.75, 0.7], 0.5) is not None
-    assert lab.fitted_relaxation_exponent([0.0, 1.0, 2.0], [1.0, 0.8, 0.7]) is None
+    assert lab.relaxation_fit([0.0, 1.0, 2.0], [1.0, 0.8, 0.7], (0.5,)) is None
+    assert lab.relaxation_fit([0.0, 1.0, 1.5, 2.0], [1.0, 0.8, 0.75, 0.7], (0.5,)) is not None
+    assert lab.relaxation_fit([0.0, 1.0, 2.0], [1.0, 0.8, 0.7]) is None
 
 
 @pytest.mark.parametrize("exponent", [0.5, 0.75, 1.0, 1.5])
@@ -466,7 +504,7 @@ def test_fitted_relaxation_exponent_recovers_synthetic_rate(exponent):
     center = np.empty_like(times)
     center[0] = 1.0  # t = 0 lies outside the fitted window t >= 40
     center[1:] = 0.662177 + 0.167 * times[1:] ** -exponent
-    assert lab.fitted_relaxation_exponent(times, center) == pytest.approx(exponent, abs=1e-12)
+    assert lab.relaxation_fit(times, center)[0] == pytest.approx(exponent, abs=1e-12)
 
 
 def test_relaxation_rate_gate_rejects_a_wrong_rate():
@@ -475,7 +513,7 @@ def test_relaxation_rate_gate_rejects_a_wrong_rate():
     # must fail it against p = 1/2, one relaxing like t^-0.47 must pass it
     times = np.arange(40, 81) * 1.0
     for rate, passes in ((0.4, False), (0.47, True)):
-        fitted = lab.fitted_relaxation_exponent(times, 0.66 + 0.167 * times ** -rate)
+        fitted, _ = lab.relaxation_fit(times, 0.66 + 0.167 * times ** -rate)
         assert (abs(fitted - 0.5) <= lab.RELAXATION_RATE_ATOL) is passes
 
 
@@ -486,7 +524,7 @@ def test_plateau_identity_gate_rejects_a_level_off_by_three_percent():
     h_pred = 0.669691
     times = np.arange(1, 41) * 0.25
     for level, passes in ((1.03 * h_pred, False), (1.005 * h_pred, True)):
-        h_limit = lab.relaxation_limit(times, level + 0.164 * times ** -0.5, 0.5)
+        _, h_limit = lab.relaxation_fit(times, level + 0.164 * times ** -0.5, (0.5,))
         assert (lab.plateau_gap(h_limit, h_pred) <= lab.LIFTOFF_LEVEL_RTOL) is passes
 
 
