@@ -238,7 +238,8 @@ def relaxation_fit(times, center, rates=RELAXATION_RATE_GRID) -> tuple[float, fl
     For each rate p in rates, h and C are a straight-line regression on x = t^-p in
     closed form (a first np.linalg.lstsq call initializes numpy's LAPACK, +1.2 MB peak
     RSS); the rate with the least residual wins, so the default grid resolves p to 1e-3
-    and clips it to (0, 4].  None when fewer than RELAXATION_MIN_FRAMES frames exist.
+    and clips it to (0, 4].  None when fewer than RELAXATION_MIN_FRAMES frames exist, or
+    where no rate's x = t^-p is a double with spread.
     """
     t = np.asarray(times, dtype=float)
     keep = t >= t[-1] / 2
@@ -246,13 +247,17 @@ def relaxation_fit(times, center, rates=RELAXATION_RATE_GRID) -> tuple[float, fl
         return None
     t, y = t[keep], np.asarray(center, dtype=float)[keep]
     rates = np.asarray(rates, dtype=float)
-    x = t[None, :] ** -rates[:, None]
-    x_mean = x.mean(axis=1, keepdims=True)
-    xc = x - x_mean
-    yc = y - y.mean()
-    slope = xc @ yc / np.vecdot(xc, xc)
-    resid = yc - slope[:, None] * xc
-    k = np.argmin(np.einsum("ij,ij->i", resid, resid))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = t[None, :] ** -rates[:, None]
+        x_mean = x.mean(axis=1, keepdims=True)
+        xc = x - x_mean
+        yc = y - y.mean()
+        slope = xc @ yc / np.vecdot(xc, xc)
+        resid = yc - slope[:, None] * xc
+        sse = np.einsum("ij,ij->i", resid, resid)
+    k = np.argmin(np.where(np.isfinite(sse), sse, np.inf))
+    if not np.isfinite(sse[k]):
+        return None
     return float(rates[k]), float(y.mean() - slope[k] * x_mean[k, 0])
 
 
@@ -283,6 +288,13 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         raise ScenarioError(
             f"profile: the weight phi = exp(-int psi) of {scenario.profile!r} overflows "
             f"within diag_radius {scenario.diag_radius:g}, so I_R is not finite"
+        )
+    grid = scenario.grid
+    if lifts and not np.any(mass_weights(w, grid, grid.r_max) > 0):
+        raise ScenarioError(
+            f"domain.num_nodes: {grid.num_nodes} nodes on [0, {grid.r_max:g}] cannot see the "
+            f"weight phi of {scenario.profile!r}: it reads 0 at every node the quadrature "
+            "weighs, so the lift-off level I(0) / int phi is undefined"
         )
 
     traj = simulate(scenario)

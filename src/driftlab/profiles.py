@@ -31,10 +31,18 @@ def _scalar_or_array(out, r):
     return out if np.ndim(r) else float(out)
 
 
-def _or_inf(product) -> float:
-    """product(), a constant formed from doubles; inf where a factor leaves the double range."""
+def in_double_range(direct, logarithm=None) -> float:
+    """direct(), a closed form of doubles; where a factor leaves the double range (an
+    OverflowError, or a value that is not finite), exp(logarithm()); inf where that
+    overflows too or no logarithm is given."""
     try:
-        return product()
+        out = direct()
+    except OverflowError:
+        out = math.inf
+    if math.isfinite(out):
+        return out
+    try:
+        return math.exp(logarithm()) if logarithm is not None else math.inf
     except OverflowError:
         return math.inf
 
@@ -56,13 +64,10 @@ class Tail:
 
     def exponent(self, r: float) -> float:
         """p r^q of a gamma tail, in logarithms where p is below the normal range or r^q
-        beyond the double range."""
-        if self.p >= sys.float_info.min:
-            try:
-                return self.p * r**self.q
-            except OverflowError:
-                pass
-        return math.exp(self.log_p + self.q * math.log(r))
+        beyond the double range; inf past it, where phi reads 0."""
+        direct = self.p >= sys.float_info.min
+        return in_double_range(lambda: self.p * r**self.q if direct else math.inf,
+                               lambda: self.log_p + self.q * math.log(r))
 
 
 class DriftProfile:
@@ -108,7 +113,7 @@ class _Mollified(DriftProfile):
     _ramp_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = _or_inf(self._knot_value)
+        v = in_double_range(self._knot_value)
         if not math.isfinite(v * self.r0):  # Psi on the ramp is psi(r0) r0 times a quartic
             raise ValueError(f"psi(r0) r0 of {self!r} is not a finite double")
         # a monotone cubic ramp ends on a slope ratio in [0, 3]; a decreasing far field would
@@ -166,9 +171,16 @@ class PowerLaw(_Mollified):
         if self.exponent == -1.0:
             return base + self.amplitude * np.log(rf / self.r0)
         # A/g (r^g - r0^g) = psi(r0) r0 expm1(g log(r/r0))/g, g = beta + 1: r0^g can leave
-        # the double range where psi(r0) does not
-        g = self.exponent + 1.0
-        return base + self._ramp_v * (np.expm1(g * np.log(rf / self.r0)) / g) * self.r0
+        # the double range where psi(r0) does not; where psi(r0) underflows to 0 and
+        # (r/r0)^g overflows (g > 0), A/g r^g (1 - (r0/r)^g) with r^g in logarithms
+        g, A = self.exponent + 1.0, self.amplitude
+        log_s = np.log(rf / self.r0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = self._ramp_v * (np.expm1(g * log_s) / g) * self.r0
+            lost = ~np.isfinite(out) & (g > 0.0)
+            out[lost] = math.copysign(1.0, A) * np.exp(
+                np.log(abs(A)) - np.log(g) + g * np.log(rf[lost])) * -np.expm1(-g * log_s[lost])
+        return base + out
 
     @property
     def growth_limit(self) -> float:
@@ -181,8 +193,8 @@ class PowerLaw(_Mollified):
         knot, A = self.r0, self.amplitude
         log_phi0 = -self.psi_integral(knot)
         if A == 0.0 or self.exponent == -1.0:
-            log_K = log_phi0 + A * math.log(knot)
-            return Tail("power", knot, _or_inf(lambda: math.exp(log_phi0) * knot**A), A, log_K=log_K)
+            return Tail("power", knot, in_double_range(lambda: math.exp(log_phi0) * knot**A), A,
+                        log_K=log_phi0 + A * math.log(knot))
         g = self.exponent + 1.0
         if A > 0 and g > 0:
             c = A / g
@@ -193,7 +205,7 @@ class PowerLaw(_Mollified):
             x0 = Tail("gamma", knot, 1.0, c, g, log_p=log_c).exponent(knot)  # c r0^g
             # K = inf where e^{c r0^g} leaves the double range; log K stays finite unless
             # c r0^g does too, and then Psi(r0) >= g c r0^g / 4 > 1e291: phi reads 0 from r0 on
-            K = _or_inf(lambda: math.exp(log_phi0) * math.exp(x0)) if x0 < math.inf else math.inf
+            K = in_double_range(lambda: math.exp(log_phi0) * math.exp(x0))
             return Tail("gamma", knot, K, c, g, x0 + log_phi0, log_c)
         return None
 
@@ -258,7 +270,7 @@ class LogCorrected(_Mollified):
         knot, n, alpha = self.r0, self.n_dim, self.alpha
         log_phi0 = -self.psi_integral(knot)
         log_K = log_phi0 + n * math.log(knot) + alpha * math.log(math.log(knot))
-        K = _or_inf(lambda: math.exp(log_phi0) * knot**n * math.log(knot) ** alpha)
+        K = in_double_range(lambda: math.exp(log_phi0) * knot**n * math.log(knot) ** alpha)
         return Tail("log", knot, K, float(n), alpha, log_K)
 
     @property

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import RadialField, RadialGrid, quadrature_weights, unit_sphere_area
-from .profiles import DriftProfile, Tail
+from .profiles import DriftProfile, Tail, in_double_range
 from .solver import Trajectory
 
 _CRITICAL_BAND = 1e-9
@@ -150,41 +150,17 @@ def _gamma_terms(s: float, x: float) -> tuple[bool, float]:
 
 
 def _monomial_integral(tail: Tail, e: float, a: float) -> float:
-    """K int_a^inf x^{e-1} dx = K a^e / -e of the tail's K; ValueError where it diverges.
-    Past the double range, e^(log K + e log a) / -e."""
+    """K int_a^inf x^{e-1} dx = K a^e / -e of the tail's K; ValueError where it diverges."""
     if e > -1e-300:
         raise ValueError("weight mass integral diverges")
-    try:
-        out = -tail.K * a**e / e
-    except OverflowError:
-        out = math.inf
-    if math.isfinite(out):
-        return out
-    try:
-        return math.exp(tail.log_K + (e * math.log(a) + math.log(1.0 / -e)))
-    except OverflowError:
-        return math.inf
-
-
-def _gamma_span(scale, log_scale: float, s: float, xa: float) -> float:
-    """scale() Gamma(s, xa); where that is not finite (a factor left the double range),
-    in logarithms from log_scale."""
-    if math.isinf(xa):  # the exponent left the double range: phi reads 0
-        return 0.0
-    try:
-        out = scale() * upper_gamma(s, xa)
-    except OverflowError:
-        out = math.inf
-    if math.isfinite(out):
-        return out
-    try:
-        return math.exp(log_scale + _log_upper_gamma(s, xa))
-    except OverflowError:
-        return math.inf
+    return in_double_range(lambda: -tail.K * a**e / e,
+                           lambda: tail.log_K + (e * math.log(a) + math.log(1.0 / -e)))
 
 
 def _far_integral(tail: Tail, n_dim: int, a: float) -> float:
-    """int_a^inf phi r^{n-1} dr beyond the tail's knot; ValueError where it diverges."""
+    """int_a^inf phi r^{n-1} dr beyond the tail's knot; ValueError where it diverges.  A gamma
+    or log tail integrates to scale Gamma(s, x), in logarithms from log_scale where a factor
+    leaves the double range, and 0 where x does: phi reads 0 there."""
     n = float(n_dim)
     kind, K = tail.kind, tail.K
     if kind == "power":
@@ -194,19 +170,24 @@ def _far_integral(tail: Tail, n_dim: int, a: float) -> float:
         s = n / g
         # where Gamma(s) or c^-s leaves the double range (s beyond ~171), or c underflows
         direct = c >= sys.float_info.min and -s * tail.log_p < 700.0
-        return _gamma_span(lambda: K / g * c**(-s) if direct else math.inf,
-                           tail.log_K - math.log(g) - s * tail.log_p, s, tail.exponent(a))
-    if kind == "log":
+        scale = K / g * c**(-s) if direct else math.inf
+        log_scale, x = tail.log_K - math.log(g) - s * tail.log_p, tail.exponent(a)
+    elif kind == "log":
         # t = c log r, c = p - n: K c^{alpha-1} int t^-alpha e^-t dt; at c = 0, K int t^-alpha dt
         alpha, c = tail.q, tail.p - n
         if c == 0.0:
             return _monomial_integral(tail, 1.0 - alpha, math.log(a))
         if c < 0.0:
             raise ValueError("weight mass integral diverges")
+        scale = in_double_range(lambda: K * c ** (alpha - 1.0))
         log_scale = tail.log_K + (alpha - 1.0) * math.log(c)
-        return _gamma_span(lambda: K * c ** (alpha - 1.0), log_scale, 1.0 - alpha,
-                           c * math.log(a))
-    raise AssertionError(f"unknown tail {kind}")
+        s, x = 1.0 - alpha, c * math.log(a)
+    else:
+        raise AssertionError(f"unknown tail {kind}")
+    if math.isinf(x):
+        return 0.0
+    return in_double_range(lambda: scale * upper_gamma(s, x),
+                           lambda: log_scale + _log_upper_gamma(s, x))
 
 
 def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float:

@@ -498,6 +498,17 @@ def test_relaxation_limit_needs_three_frames():
     assert lab.relaxation_fit([0.0, 1.0, 2.0], [1.0, 0.8, 0.7]) is None
 
 
+def test_relaxation_fit_skips_a_rate_whose_t_to_the_minus_p_is_no_double():
+    # t^-132.5 overflows on [3e-5, 6e-5] and t^-400 underflows to 0 on [1e5, 2e5], where
+    # x = t^-p then has no spread: no fit at that rate, not a NaN level
+    times = np.linspace(3e-5, 6e-5, 16)
+    center = 0.5 + 1e-3 * times**-0.5
+    assert lab.relaxation_fit(times, center, (132.5,)) is None
+    assert lab.relaxation_fit(np.linspace(1e5, 2e5, 5), np.ones(5), (400.0,)) is None
+    rate, level = lab.relaxation_fit(times, center, (132.5, 0.5))
+    assert rate == 0.5 and level == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("exponent", [0.5, 0.75, 1.0, 1.5])
 def test_fitted_relaxation_exponent_recovers_synthetic_rate(exponent):
     times = np.arange(81) * 1.0  # the frame times of lab.RELAXATION_RUNS, t in [0, 80]

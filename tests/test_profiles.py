@@ -172,6 +172,25 @@ def test_powerlaw_integral_where_r0_to_the_g_is_no_double():
     np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
+def test_powerlaw_integral_where_psi_r0_underflows_and_r_over_r0_to_the_g_overflows():
+    # A r0^beta underflows to 0 and (r/r0)^g = 100^362 overflows: A/g r^g (1 - (r0/r)^g)
+    # with r^g in logarithms, not 0 * inf = NaN; the ramp's share is below the least double
+    mpmath = pytest.importorskip("mpmath")
+    radii = (0.5, 0.9456140341010968)
+    for A in (3.334094882154609e-54, -3.334094882154609e-54):
+        p = PowerLaw(A, 361.454043856422, 0.009415425396125283)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p.psi_integral(np.array(radii))
+        with mpmath.workdps(40):
+            g, r0 = mpmath.mpf(p.exponent) + 1, mpmath.mpf(p.r0)
+            ref = [float(mpmath.mpf(A) / g * (mpmath.mpf(r)**g - r0**g)) for r in radii]
+        np.testing.assert_allclose(got, ref, rtol=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PowerLaw(0.0, 400.0, 0.01).psi_integral(20.0) == 0.0
+
+
 def test_logcorrected_requires_r0_beyond_one():
     with pytest.raises(ValueError):
         LogCorrected(n_dim=2, alpha=1.0, r0=1.0)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftlab import lab
+from driftlab import cli, lab
 from driftlab.oracles import GaussianData
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Tabulated, Zero
 from driftlab.scenario import (DOCUMENT, ScenarioError, TabulatedInitial, apply_parameter,
@@ -617,8 +618,101 @@ HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta =
                                 ("1e303", "-0.999999", "1"))]
 
 
+# documents a log-uniform draw of accepted magnitudes broke: the gamma tail's exponent c r^g
+# of psi = r^100 leaves the double range at r_max = 1190 (FAR_TAIL); 11 nodes see the weight
+# of psi = r only at r = 0, where the quadrature weight is 0 in n = 2 (UNSEEN_WEIGHT);
+# psi(r0) underflows to 0 while (r/r0)^g overflows (UNDERFLOWING_KNOT); the relaxation law
+# t^-132.5 of L = 268 in n = 3 leaves the double range at t ~ 5e-5 (STEEP_RELAXATION)
+FAR_TAIL = """
+[profile]
+kind = powerlaw
+A = 1
+beta = 100
+r0 = 1
+
+[domain]
+n = 2
+r_max = 1190
+num_nodes = 1191
+
+[initial]
+kind = gaussian
+sigma = 1
+
+[run]
+t_end = 0.01
+name = far-tail
+"""
+UNSEEN_WEIGHT = """
+[profile]
+kind = linear
+
+[domain]
+n = 2
+r_max = 1000
+num_nodes = 11
+
+[initial]
+kind = gaussian
+sigma = 1
+"""
+UNDERFLOWING_KNOT = """
+[profile]
+kind = powerlaw
+A = 3.334094882154609e-54
+beta = 361.454043856422
+r0 = 0.009415425396125283
+
+[domain]
+n = 4
+r_max = 0.9456140341010968
+num_nodes = 39
+
+[initial]
+kind = gaussian
+sigma = 0.0393
+
+[solver]
+dt = 2.8548890480870217e-06
+theta = 1
+advection = upwind
+
+[run]
+t_end = 6.280755905791447e-05
+"""
+STEEP_RELAXATION = """
+[profile]
+kind = powerlaw
+A = 268
+beta = -1
+r0 = 8.5
+
+[domain]
+n = 3
+r_max = 28
+num_nodes = 195
+
+[initial]
+kind = gaussian
+sigma = 0.004
+
+[solver]
+dt = 2e-6
+theta = 1
+advection = upwind
+snapshot_stride = 1
+
+[run]
+t_end = 6e-5
+"""
+
+
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
+@example(FAR_TAIL)
+@example(UNSEEN_WEIGHT)
+@example(UNDERFLOWING_KNOT)
+@example(STEEP_RELAXATION)
 @example(HUGE_POWERS[0])
 @example(HUGE_POWERS[1])
 @example(HUGE_POWERS[2])
@@ -670,6 +764,47 @@ def test_overflowing_weight_mass_is_a_lift_off_with_an_infinite_mass():
     assert c.verdict is lab.Verdict.LIFT_OFF and c.phi_mass == math.inf
     assert c.note == "averaged growth inf exceeds dimension 2; weight mass exceeds the double range"
     assert 0 < report.h_pred < 1 and report.h_tail_bound == math.inf
+
+
+def test_cli_simulate_reads_a_weight_tail_past_the_double_range_as_zero(tmp_path):
+    # c r^g = r^101 / 101 is no double at r_max = 1190: phi reads 0 there, not an OverflowError
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(FAR_TAIL)
+    assert cli.main(["simulate", str(cfg), "--quiet", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "far-tail" / "report.json").read_text())
+    assert report["verdict"] == "lift_off" and report["h_tail_bound"] == 0.0
+
+
+def test_a_lift_off_whose_grid_cannot_see_its_weight_is_refused_before_the_solve(
+        tmp_path, capsys, monkeypatch):
+    # phi(100) = e^-5000 = 0 at every node but r = 0, whose weight r^(n-1) is 0 in n = 2:
+    # the predicted level would divide by a zero grid mass
+    monkeypatch.setattr(lab, "simulate", None)  # any simulation attempt raises TypeError
+    cfg = tmp_path / "unseen.ini"
+    cfg.write_text(UNSEEN_WEIGHT)
+    assert cli.main(["simulate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: domain.num_nodes: 11 nodes on [0, 1000] cannot see the weight phi of Linear(): "
+        "it reads 0 at every node the quadrature weighs, so the lift-off level I(0) / int phi "
+        "is undefined\n")
+
+
+def test_a_knot_value_underflowing_to_zero_leaves_the_weight_finite():
+    # psi(r0) = 0 in doubles times (r/r0)^g = inf was a NaN Psi, read as an overflowing weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lab.run(parse_scenario(UNDERFLOWING_KNOT))
+    assert report.classification.verdict is lab.Verdict.LIFT_OFF
+    assert math.isfinite(report.h_pred) and math.isfinite(report.h_tail_bound)
+
+
+def test_a_relaxation_law_past_the_double_range_leaves_no_limit():
+    # p = (268 - 3)/2 = 132.5: t^-p is no double for t in [3e-5, 6e-5], so no fit, not NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lab.run(parse_scenario(STEEP_RELAXATION))
+    assert report.relaxation_exponent == 132.5 and report.h_limit is None
+    assert report.to_dict()["h_limit"] is None
 
 
 def test_frame_store_is_bounded_before_allocating():

@@ -318,6 +318,15 @@ def test_gamma_tail_whose_constant_overflows_is_free_of_nan():
     assert phi_tail_bound(WeightFunction(PowerLaw(1e303, -0.999999, 1.0)), 2, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("profile, n, beyond", [(PowerLaw(1.0, 300.0, 10.0), 1, 40.0),
+                                                (PowerLaw(2.0, 1.0, 1.0), 3, 1e160),
+                                                (Linear(), 2, 1e160)])
+def test_gamma_tail_exponent_past_the_double_range_reads_a_zero_mass(profile, n, beyond):
+    # c r^g = 40^301 / 301, r^2 and r^2 / 2 at r = 1e160 are no doubles: phi reads 0 there
+    assert profile.tail().exponent(beyond) == math.inf
+    assert phi_tail_bound(WeightFunction(profile), n, beyond) == 0.0
+
+
 def test_gamma_tail_below_the_least_double_matches_mpmath():
     # c = A/(beta+1) = 2.2e-324 underflows; the tail carries log c, so the mass keeps
     # every digit (with c rounded to the least double it would be 2.49e294).  Reference: 2 pi e^c
