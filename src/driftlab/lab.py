@@ -7,7 +7,7 @@ frames.csv / diagnostics.csv / report.json.  For a lift-off with finite
 averaged growth L > n it also extrapolates the center's relaxation law to
 t = infinity, the limit in which the plateau identity h = I(0)/int phi holds.
 verify() runs the named verification suites on reference runs declared once
-in this module, making each run once per call however many suites read it; a
+in this module, making each run once per call, in parallel, however many read it; a
 SuiteReport holds each check's pass/fail and measured numbers, and run()'s
 report.json resolution block of each run read.  Each discrete guarantee is
 measured once, by field_measures or series_measures, for run()'s flags and
@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -397,12 +398,37 @@ def _sweep_table(parameter: str, rows) -> str:
     return "\n".join(lines)
 
 
+def _fork_map(fn, calls, workers: int, broken=None) -> list:
+    """[fn(*args) for args in calls] in min(workers, len(calls)) worker processes, or here
+    when that is one.  Forked (POSIX only), not spawned: a worker starts with numpy, scipy's
+    LAPACK and driftlab imported, and a fork pool starts all its workers at the first
+    submit, before its manager thread exists.  fn, calls and results are pickled.  A call's
+    exception reaches the caller, and so does the BrokenProcessPool of each call a dying
+    worker takes down, unless broken(*args, exc) stands in for its result."""
+    workers = min(workers, len(calls))
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, process
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        out, futures = [], [pool.submit(fn, *args) for args in calls]
+        for args, fut in zip(calls, futures):
+            try:
+                out.append(fut.result())
+            except process.BrokenProcessPool as exc:
+                if broken is None:
+                    raise
+                out.append(broken(*args, exc))
+    return out
+
+
 def sweep(base: Scenario, parameter: str, values, threads: int = 1,
           out_dir=None) -> SweepResult:
     """Independent runs of the base scenario with one parameter swept.
 
-    Rows run in min(threads, len(values)) worker processes forked from this
-    one (POSIX only); with one worker they run here, one after the other.
+    Rows run in min(threads, len(values)) worker processes forked by _fork_map,
+    as verify()'s runs do; with one worker they run here, one after the other.
     Each worker runs the whole run() of its row, artifacts included, and
     sends the row back pickled.  Row order follows the given values; a row
     failure is recorded in place and does not abort the remaining runs, and
@@ -416,27 +442,8 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
         raise ScenarioError(f"sweep values must differ in 6 significant digits, "
                             f"got the row labels {', '.join(labels)}")
     one = functools.partial(_sweep_one, base, parameter, out_dir)
-    workers = min(threads, len(values))
-    if workers <= 1:
-        rows = list(map(one, values, labels))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, not spawn: a worker starts with numpy, scipy's LAPACK and
-        # driftlab already imported, where spawn would import them again in
-        # each.  A fork pool starts all its workers at the first submit,
-        # before its own manager thread exists.
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(one, v, label) for v, label in zip(values, labels)]
-            rows = []
-            for value, label, fut in zip(values, labels, futures):
-                try:
-                    rows.append(fut.result())
-                except BrokenProcessPool as exc:
-                    rows.append(SweepRow(value, label, error=f"BrokenProcessPool: {exc}"))
+    rows = _fork_map(one, list(zip(values, labels)), threads,
+                     lambda v, label, exc: SweepRow(v, label, error=f"BrokenProcessPool: {exc}"))
     table = _sweep_table(parameter, rows)
     if out_dir is not None:
         out = Path(out_dir)
@@ -552,9 +559,9 @@ def _oracle_error(scenario: Scenario, traj: Trajectory, t: float) -> float:
 
 
 def _suite_oracle(runs):
-    traj = runs(simulate, ORACLE_WINDOW)
+    traj = runs("simulate", ORACLE_WINDOW)
     worst = max(_oracle_error(ORACLE_WINDOW, traj, t) for t in (0.5, 1.0, 2.0, 3.0))
-    rows = mass_growth_check(runs(simulate, MASS_GROWTH))
+    rows = mass_growth_check(runs("simulate", MASS_GROWTH))
     worst2 = max(abs(mass - pred) / pred for _, mass, pred in rows)
     return [
         _check("oracle_equivalence", worst, 1e-3,
@@ -565,9 +572,9 @@ def _suite_oracle(runs):
 
 
 def _suite_liftoff(runs):
-    center = runs(run, LINEAR_ORACLE).final_center
+    center = runs("run", LINEAR_ORACLE).final_center
     target = liftoff_limit(LINEAR_ORACLE.initial)  # 2/3 for sigma=1, n=2
-    rep = runs(run, BOUNDED_DRIFT)
+    rep = runs("run", BOUNDED_DRIFT)
     detail = f"u(0, 10) = {rep.h_obs:.6g} vs h_pred = {rep.h_pred:.6g} from quadrature"
     if rep.h_limit is not None:
         detail += (f"; extrapolated u(0, inf) = {rep.h_limit:.6g} under "
@@ -581,7 +588,7 @@ def _suite_liftoff(runs):
 
 
 def _suite_relaxation(runs):
-    rep = runs(run, BOUNDED_DRIFT)
+    rep = runs("run", BOUNDED_DRIFT)
     plateau = _check(
         "plateau_limit", plateau_gap(rep.h_limit, rep.h_pred), LIFTOFF_LEVEL_RTOL,
         f"extrapolated u(0, inf) = {rep.h_limit:.6g} under t^-{rep.relaxation_exponent:g} "
@@ -589,7 +596,7 @@ def _suite_relaxation(runs):
 
     worst, fits = 0.0, []
     for scen in RELAXATION_RUNS:
-        rep = runs(run, scen)
+        rep = runs("run", scen)
         fitted, _ = relaxation_fit(rep.series.times, rep.series.center)
         worst = max(worst, abs(fitted - rep.relaxation_exponent))
         fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} (L={scen.profile.amplitude:g}, "
@@ -600,13 +607,13 @@ def _suite_relaxation(runs):
 
 
 def _suite_conservation(runs):
-    drift = series_measures(runs(run, BOUNDED_DRIFT).series)["weighted_mass_drift"]
+    drift = series_measures(runs("run", BOUNDED_DRIFT).series)["weighted_mass_drift"]
     return [_check("weighted_mass_conservation", drift, CONSERVATION_DRIFT_RTOL,
                    "max relative drift of I_R, R=32, full weight")]
 
 
 def _suite_decay(runs):
-    m = series_measures(runs(run, SUBCRITICAL).series)
+    m = series_measures(runs("run", SUBCRITICAL).series)
     return [
         _check("decay_sup_monotone", m["sup_rise"], 1e-8, "largest framewise increase of sup u"),
         _check("decay_sup_small", m["sup_fraction"], DECAY_SUP_FRACTION,
@@ -650,7 +657,7 @@ def _suite_invariants(runs):
         dev = float(np.max(np.abs(step(const, profile, cfg).values - 0.7))) / 0.7
         worst["constant"] = max(worst["constant"], dev)
 
-        ta = runs(simulate, scen)
+        ta = runs("simulate", scen)
         if cfg.certified:
             for name, value in field_measures(ta.values).items():
                 worst[name] = max(worst[name], value)
@@ -675,7 +682,7 @@ def _suite_invariants(runs):
 
 
 def _suite_convergence(runs):
-    errors = [_oracle_error(scen, runs(simulate, scen), scen.t_end) for scen in CONVERGENCE_LADDER]
+    errors = [_oracle_error(s, runs("simulate", s), s.t_end) for s in CONVERGENCE_LADDER]
     p1 = math.log2(errors[0] / errors[1])
     p2 = math.log2(errors[1] / errors[2])
     order = 0.5 * math.log2(errors[0] / errors[2])
@@ -684,15 +691,17 @@ def _suite_convergence(runs):
     return [_check("convergence_order", order, 1.9, detail, ">=")]
 
 
+# suite -> (its checks from runs(how, scenario), the (how, scenario) pairs it reads, by call)
 _SUITES = {
-    "oracle": _suite_oracle,
-    "conservation": _suite_conservation,
-    "liftoff": _suite_liftoff,
-    "decay": _suite_decay,
-    "critical": _suite_critical,
-    "invariants": _suite_invariants,
-    "convergence": _suite_convergence,
-    "relaxation": _suite_relaxation,
+    "oracle": (_suite_oracle, lambda: [("simulate", ORACLE_WINDOW), ("simulate", MASS_GROWTH)]),
+    "conservation": (_suite_conservation, lambda: [("run", BOUNDED_DRIFT)]),
+    "liftoff": (_suite_liftoff, lambda: [("run", LINEAR_ORACLE), ("run", BOUNDED_DRIFT)]),
+    "decay": (_suite_decay, lambda: [("run", SUBCRITICAL)]),
+    "critical": (_suite_critical, lambda: []),
+    "invariants": (_suite_invariants, lambda: [("simulate", s) for s in INVARIANT_RUNS]),
+    "convergence": (_suite_convergence, lambda: [("simulate", s) for s in CONVERGENCE_LADDER]),
+    "relaxation": (_suite_relaxation,
+                   lambda: [("run", BOUNDED_DRIFT), *(("run", s) for s in RELAXATION_RUNS)]),
 }
 
 
@@ -700,28 +709,42 @@ def suite_names() -> tuple:
     return tuple(sorted(_SUITES))
 
 
+def _make(how: str, scenario: Scenario):
+    """(how(scenario), its seconds), how looked up here by name: no function is pickled."""
+    t0 = time.perf_counter()
+    return globals()[how](scenario), time.perf_counter() - t0
+
+
 def verify(*suites: str) -> list[SuiteReport]:
     """Run the named verification suites at their reference resolution, in the order given.
 
-    Returns one SuiteReport per distinct name.  A reference run that several of the suites
-    read is made once; its resolution is reported by each suite that reads it.
+    Returns one SuiteReport per distinct name.  The runs the suites declare are made first,
+    once each, largest nodes x steps first, by _fork_map over the usable cores; a run's
+    exception reaches the caller.  Each suite's elapsed_seconds are its checks' plus the
+    in-worker seconds of each run it is the first to read.
     """
     for suite in suites:
         if suite not in _SUITES:
             raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(suite_names())}")
-    made, reports = {}, []
+    declared = {suite: _SUITES[suite][1]() for suite in suites}
+    pairs = sorted(dict.fromkeys(pair for reads in declared.values() for pair in reads),
+                   key=lambda pair: -pair[1].grid.num_nodes * pair[1].t_end / pair[1].solver.dt)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    made = dict(zip(pairs, _fork_map(_make, pairs, cores or 1)))
+    unbooked, reports = {pair: seconds for pair, (_, seconds) in made.items()}, []
 
-    def runs(how, scenario: Scenario):
-        """run(scenario) or simulate(scenario), made once per verify call; records its
-        resolution for the suite that reads it."""
-        if (how, scenario) not in made:
-            made[how, scenario] = how(scenario)
-        out = made[how, scenario]
+    def runs(how: str, scenario: Scenario):
+        """The made run or simulate of a declared scenario, booked to its first reader."""
+        if (how, scenario) not in declared[suite]:
+            raise LookupError(f"suite {suite!r} reads {how}({scenario.name}) undeclared")
+        out = made[how, scenario][0]
         read[scenario.name] = (out.resolution if isinstance(out, RunReport)
                                else resolution(scenario, out.kernel))
+        booked.append(unbooked.pop((how, scenario), 0.0))
         return out
 
-    for suite in dict.fromkeys(suites):
-        t0, read = time.perf_counter(), {}
-        reports.append(SuiteReport(suite, _SUITES[suite](runs), read, time.perf_counter() - t0))
+    for suite in declared:
+        t0, read, booked = time.perf_counter(), {}, []
+        checks = _SUITES[suite][0](runs)
+        reports.append(SuiteReport(suite, checks, read, time.perf_counter() - t0 + sum(booked)))
     return reports

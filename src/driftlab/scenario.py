@@ -131,6 +131,13 @@ class Scenario:
             if not math.isfinite(self.profile.psi(r_max)):
                 raise ScenarioError(f"profile: psi(r_max) of {self.profile!r} at r_max = "
                                     f"{r_max:g} is not a finite double")
+            r = self.grid.spacing * np.arange(1, self.grid.num_nodes - 1)  # interior nodes
+            c = (self.n_dim - 1) / r - self.profile.psi(r)
+            peclet = self.grid.spacing * float(np.max(np.abs(c))) / 2
+        # centered couplings 1/h^2 -+ c/(2h): 1/h^2 is lost to rounding from h|c|/2 = 2^53 on
+        if self.solver.advection == "centered" and peclet >= 2.0**53:
+            raise ScenarioError(f"solver.advection: centered advection at cell Peclet number "
+                                f"{peclet:g} >= 2^53 keeps none of the diffusion; use upwind")
         if isinstance(self.initial, GaussianData) and self.initial.n_dim != self.n_dim:
             raise ScenarioError(f"initial: the gaussian datum lives in dimension "
                                 f"{self.initial.n_dim}, the grid in {self.n_dim}")

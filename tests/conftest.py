@@ -8,20 +8,30 @@ from driftlab import lab
 @pytest.fixture(scope="session")
 def verified():
     """({suite: SuiteReport} of one verify of every suite, each Scenario it simulated,
-    {Scenario: RunReport} of each run it made), made once per test session."""
+    {Scenario: RunReport} of each run it made), made once per test session.
+
+    verify takes its default path, the runs forked over the usable cores, so the runs are
+    counted where it dispatches them, in this process: a worker's records never come back.
+    A simulation outside that dispatch is counted too."""
     simulated, ran = [], {}
-    simulate, run = lab.simulate, lab.run
+    simulate, fork_map = lab.simulate, lab._fork_map
 
     def counting(scenario):
         simulated.append(scenario)
         return simulate(scenario)
 
-    def recording(scenario, out_dir=None):
-        ran[scenario] = report = run(scenario, out_dir)
-        return report
+    def dispatching(fn, calls, workers, broken=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab, "simulate", simulate)  # a dispatched run is counted once, here
+            made = fork_map(fn, calls, workers, broken)
+        for (how, scenario), (out, _) in zip(calls, made):
+            simulated.append(scenario)
+            if how == "run":
+                ran[scenario] = out
+        return made
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lab, "simulate", counting)
-        mp.setattr(lab, "run", recording)
+        mp.setattr(lab, "_fork_map", dispatching)
         reports = {r.suite: r for r in lab.verify(*lab.suite_names())}
     return reports, simulated, ran

@@ -19,7 +19,7 @@ from driftlab.grid import RadialField, RadialGrid
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
 from driftlab.oracles import GaussianData
 from driftlab.scenario import ScenarioError, parse_scenario
-from driftlab.solver import SolverConfig, Trajectory
+from driftlab.solver import SolverConfig, SolverError, Trajectory
 from driftlab.weights import DiagnosticSeries, Verdict, classify
 
 FAST_SUPERCRITICAL = """
@@ -387,13 +387,15 @@ def test_cli_simulate_refuses_theta_below_one_half(tmp_path, capsys, monkeypatch
 
 def test_cli_simulate_runs_a_lift_off_whose_weight_mass_underflows(tmp_path, capsys):
     # psi = r^300 beyond r0 = 10 stays a double up to r_max = 10.5: an undetermined verdict,
-    # in n = 1 too, where the first quadrature panel alone would count a weight mass of 1e-4
+    # in n = 1 too, where the first quadrature panel alone would count a weight mass of 1e-4;
+    # upwind, since centered advection is refused at this cell Peclet number (6e303)
     for n, nodes in ((2, 106), (1, 201)):
         cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace(
             "A = 3\nbeta = -1\nr0 = 1", "A = 1\nbeta = 300\nr0 = 10").replace(
             "n = 2\nr_max = 20\nnum_nodes = 801",
             f"n = {n}\nr_max = 10.5\nnum_nodes = {nodes}").replace(
-            "t_end = 2.0\ndiag_radius = 16", "t_end = 0.2\ndiag_radius = 10"))
+            "t_end = 2.0\ndiag_radius = 16", "t_end = 0.2\ndiag_radius = 10").replace(
+            "dt = 4e-3", "dt = 4e-3\nadvection = upwind"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["simulate", cfg, "--quiet", "--out", str(tmp_path / "out")]) == 0
@@ -676,15 +678,82 @@ def test_verify_resolution_is_the_report_block_of_each_declared_run():
 @pytest.mark.parametrize("suite,solves", [("oracle", 2), ("convergence", 3), ("invariants", 30),
                                           ("critical", 0)])
 def test_verify_solve_count_per_suite(monkeypatch, suite, solves):
-    calls, solve = [], lab.solve
+    # a suite's solves are its dispatched runs, one solve each, plus its inline solves: the
+    # runs are counted where verify dispatches them, since a worker's counts never come back
+    inline, dispatched, solve, fork_map = [], [], lab.solve, lab._fork_map
 
     def counting(*args):
-        calls.append(args)
+        inline.append(args)
         return solve(*args)
 
+    def dispatching(fn, calls, workers, broken=None):
+        dispatched.extend(calls)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab, "solve", solve)  # a run made here is not counted again inline
+            return fork_map(fn, calls, workers, broken)
+
     monkeypatch.setattr(lab, "solve", counting)
+    monkeypatch.setattr(lab, "_fork_map", dispatching)
     lab.verify(suite)
-    assert len(calls) == solves
+    assert len(dispatched) + len(inline) == solves
+    assert len(set(dispatched)) == len(dispatched)
+
+
+def _usable_cores(monkeypatch, cores):
+    """verify sees this many usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def test_verify_in_one_worker_matches_the_parallel_session(verified, monkeypatch):
+    # the session's verify forked its runs over the usable cores; one worker makes them here
+    _usable_cores(monkeypatch, 1)
+    suites = ("oracle", "liftoff", "invariants", "relaxation")
+    for report in lab.verify(*suites):
+        parallel = verified[0][report.suite]
+        assert report.checks == parallel.checks, report.suite
+        assert report.resolution == parallel.resolution, report.suite
+
+
+def _recording_pool(monkeypatch):
+    real_pool, pool_sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording_pool(max_workers=None, **kwargs):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    return pool_sizes
+
+
+def test_verify_starts_one_worker_per_run_up_to_the_usable_cores(monkeypatch):
+    pool_sizes = _recording_pool(monkeypatch)
+    lab.verify("conservation")  # one run: made in this process
+    lab.verify("critical")  # no run
+    assert pool_sizes == []
+    lab.verify("liftoff")  # two runs
+    cores = len(os.sched_getaffinity(0))
+    assert pool_sizes == ([min(cores, 2)] if cores > 1 else [])
+
+
+def test_an_exception_in_a_verify_worker_reaches_the_caller(monkeypatch):
+    _usable_cores(monkeypatch, 2)
+    parent, simulate = os.getpid(), lab.simulate
+
+    def failing(scenario):  # the forked workers inherit the patch
+        if os.getpid() == parent:
+            return simulate(scenario)
+        raise SolverError(f"no solve of {scenario.name} in a worker")
+
+    monkeypatch.setattr(lab, "simulate", failing)
+    with pytest.raises(SolverError, match=r"^no solve of (oracle-window|mass-growth) in a "):
+        lab.verify("oracle")
+
+
+def test_verify_refuses_a_run_its_suite_does_not_declare(monkeypatch):
+    declared = lab._SUITES["conservation"]
+    monkeypatch.setitem(lab._SUITES, "conservation", (lab._suite_liftoff, declared[1]))
+    with pytest.raises(LookupError, match=r"suite 'conservation' reads run\(linear-oracle\)"):
+        lab.verify("conservation")
 
 
 # --- command line ------------------------------------------------------------
@@ -854,14 +923,7 @@ def test_cli_sweep_rejects_zero_threads_while_parsing(monkeypatch, capsys):
 
 
 def test_cli_sweep_starts_at_most_one_worker_per_value(tmp_path, monkeypatch, capsys):
-    real_pool = concurrent.futures.ProcessPoolExecutor
-    pool_sizes = []
-
-    def recording_pool(max_workers=None, **kwargs):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    pool_sizes = _recording_pool(monkeypatch)
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
     assert cli.main(["sweep", cfg, "--param", "A", "--values", "1,3", "--threads", "64"]) == 0
     assert pool_sizes == [2]
@@ -878,7 +940,8 @@ def test_cli_runs_without_scipy_linalg_or_special(tmp_path):
         "from driftlab import cli\n"
         f"assert cli.main(['classify', {str(oracle)!r}, '--quiet']) == 0\n"
         f"assert cli.main(['simulate', {cfg!r}, '--quiet']) == 0\n"
-        "print(sorted({'scipy.linalg', 'scipy.special', 'sympy', 'mpmath'} & set(sys.modules)))\n"
+        "print(sorted({'scipy.linalg', 'scipy.special', 'sympy', 'mpmath', 'multiprocessing',\n"
+        "              'concurrent.futures'} & set(sys.modules)))\n"
         # scipy.linalg imported afterwards shares the already loaded LAPACK extension
         "from scipy.linalg.lapack import dgttrs\n"
         "from driftlab import solver\n"

@@ -622,7 +622,8 @@ HUGE_POWERS = [MINIMAL.replace("kind = zero", f"kind = powerlaw\nA = {a}\nbeta =
 # of psi = r^100 leaves the double range at r_max = 1190 (FAR_TAIL); 11 nodes see the weight
 # of psi = r only at r = 0, where the quadrature weight is 0 in n = 2 (UNSEEN_WEIGHT);
 # psi(r0) underflows to 0 while (r/r0)^g overflows (UNDERFLOWING_KNOT); the relaxation law
-# t^-132.5 of L = 268 in n = 3 leaves the double range at t ~ 5e-5 (STEEP_RELAXATION)
+# t^-132.5 of L = 268 in n = 3 leaves the double range at t ~ 5e-5 (STEEP_RELAXATION).
+# FAR_TAIL is upwind: centered advection is refused at its cell Peclet number 1.6e307
 FAR_TAIL = """
 [profile]
 kind = powerlaw
@@ -638,6 +639,9 @@ num_nodes = 1191
 [initial]
 kind = gaussian
 sigma = 1
+
+[solver]
+advection = upwind
 
 [run]
 t_end = 0.01
@@ -706,9 +710,38 @@ snapshot_stride = 1
 t_end = 6e-5
 """
 
+# Crank-Nicolson centered at cell Peclet number 1.06e245: 1/h^2 is lost to rounding in
+# diag = -(lower + upper), which left the implicit system with a zero pivot
+HUGE_PECLET = """
+[profile]
+kind = powerlaw
+A = 5.037052563190668e+245
+beta = -1
+r0 = 0.5878985946625344
+
+[domain]
+n = 1
+r_max = 26.871830172780395
+num_nodes = 105
+
+[initial]
+kind = gaussian
+sigma = 1
+
+[solver]
+dt = 1e-3
+theta = 0.5
+advection = centered
+outer_bc = neumann
+
+[run]
+t_end = 0.01
+"""
+
 
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
+@example(HUGE_PECLET)
 @example(FAR_TAIL)
 @example(UNSEEN_WEIGHT)
 @example(UNDERFLOWING_KNOT)
@@ -756,6 +789,26 @@ def test_a_drift_past_the_double_range_is_refused_naming_the_profile():
             with pytest.raises(ScenarioError) as exc:
                 parse_scenario(doc)
         assert str(exc.value) == message
+
+
+def test_centered_advection_past_the_double_range_of_the_diffusion_is_refused(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match=r"^solver\.advection: centered advection at cell "
+                       r"Peclet number 1\.06221e\+245 >= 2\^53 .*; use upwind$"):
+        parse_scenario(HUGE_PECLET)
+    cfg = tmp_path / "peclet.ini"
+    cfg.write_text(HUGE_PECLET)
+    assert cli.main(["simulate", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: solver.advection: ")
+    assert parse_scenario(HUGE_PECLET.replace("centered", "upwind")).solver.advection == "upwind"
+    # the cell Peclet number scales with A: twice 2^53 is refused, half of it accepted
+    for factor, refused in ((2.0, True), (0.5, False)):
+        amplitude = 5.037052563190668e+245 * factor * 2.0**53 / 1.06221e245
+        doc = HUGE_PECLET.replace("A = 5.037052563190668e+245", f"A = {amplitude!r}")
+        if refused:
+            with pytest.raises(ScenarioError, match=r"^solver\.advection: "):
+                parse_scenario(doc)
+        else:
+            assert parse_scenario(doc).profile.amplitude == amplitude
 
 
 def test_overflowing_weight_mass_is_a_lift_off_with_an_infinite_mass():
