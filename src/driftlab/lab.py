@@ -7,7 +7,8 @@ frames.csv / diagnostics.csv / report.json.  For a lift-off with finite
 averaged growth L > n it also extrapolates the center's relaxation law to
 t = infinity, the limit in which the plateau identity h = I(0)/int phi holds.
 verify() runs the named verification suites on reference runs declared once
-in this module, making each run once per call, in parallel, however many read it; a
+in this module, making each run once per call, in parallel, however many read it.
+A suite is the runs it reads plus a checks function of those runs, in order; a
 SuiteReport holds each check's pass/fail and measured numbers, and run()'s
 report.json resolution block of each run read.  Each discrete guarantee is
 measured once, by field_measures or series_measures, for run()'s flags and
@@ -508,7 +509,7 @@ def _gaussian(name: str, profile, r_max: float, num_nodes: int, solver: SolverCo
                     RadialGrid(r_max, num_nodes, n_dim), solver, t_end, diag_radius)
 
 
-# The suites' reference runs, each declared once and read through verify()'s runs().
+# The suites' reference runs, each declared once, in _SUITES.
 # configs/linear_oracle.ini: psi = r, exact solution ou_solution, plateau 2/3
 LINEAR_ORACLE = _gaussian("linear-oracle", Linear(), 20.0, 2001,
                           SolverConfig(dt=1e-3, theta=0.5, snapshot_stride=500), 6.0, 16.0)
@@ -550,19 +551,17 @@ INVARIANT_RUNS = tuple(
 )
 
 
-def _oracle_error(scenario: Scenario, traj: Trajectory, t: float) -> float:
-    """max |numeric - ou_solution| at time t over r <= 0.8 r_max."""
-    r = scenario.grid.nodes
-    mask = r <= 0.8 * scenario.grid.r_max
-    exact = ou_solution(scenario.initial, r[mask], t)
+def _oracle_error(traj: Trajectory, t: float) -> float:
+    """max |numeric - ou_solution| at time t over r <= 0.8 r_max from the unit Gaussian."""
+    r = traj.grid.nodes
+    mask = r <= 0.8 * traj.grid.r_max
+    exact = ou_solution(GaussianData(sigma=1.0, n_dim=traj.grid.n_dim), r[mask], t)
     return float(np.max(np.abs(_frame_at(traj, t)[mask] - exact)))
 
 
-def _suite_oracle(runs):
-    traj = runs("simulate", ORACLE_WINDOW)
-    worst = max(_oracle_error(ORACLE_WINDOW, traj, t) for t in (0.5, 1.0, 2.0, 3.0))
-    rows = mass_growth_check(runs("simulate", MASS_GROWTH))
-    worst2 = max(abs(mass - pred) / pred for _, mass, pred in rows)
+def _suite_oracle(window: Trajectory, growth: Trajectory):
+    worst = max(_oracle_error(window, t) for t in (0.5, 1.0, 2.0, 3.0))
+    worst2 = max(abs(mass - pred) / pred for _, mass, pred in mass_growth_check(growth))
     return [
         _check("oracle_equivalence", worst, 1e-3,
                "max |numeric - exact| over r <= 16, t in {0.5,1,2,3}, sup u0 = 1"),
@@ -571,49 +570,45 @@ def _suite_oracle(runs):
     ]
 
 
-def _suite_liftoff(runs):
-    center = runs("run", LINEAR_ORACLE).final_center
-    target = liftoff_limit(LINEAR_ORACLE.initial)  # 2/3 for sigma=1, n=2
-    rep = runs("run", BOUNDED_DRIFT)
+def _suite_liftoff(linear: RunReport, rep: RunReport):
+    target = liftoff_limit(GaussianData(sigma=1.0, n_dim=linear.resolution["n_dim"]))
     detail = f"u(0, 10) = {rep.h_obs:.6g} vs h_pred = {rep.h_pred:.6g} from quadrature"
     if rep.h_limit is not None:
         detail += (f"; extrapolated u(0, inf) = {rep.h_limit:.6g} under "
                    f"t^-{rep.relaxation_exponent:g}, "
                    f"{plateau_gap(rep.h_limit, rep.h_pred):.2%} from h_pred")
     return [
-        _check("liftoff_level", abs(center - target) / target, 0.02,
+        _check("liftoff_level", abs(linear.final_center - target) / target, 0.02,
                f"|u(0, 6) - {target:.6g}| relative to the exact plateau"),
         _check("liftoff_prediction", rep.discrepancy, 0.02, detail),
     ]
 
 
-def _suite_relaxation(runs):
-    rep = runs("run", BOUNDED_DRIFT)
+def _suite_relaxation(rep: RunReport, *relaxing: RunReport):
     plateau = _check(
         "plateau_limit", plateau_gap(rep.h_limit, rep.h_pred), LIFTOFF_LEVEL_RTOL,
         f"extrapolated u(0, inf) = {rep.h_limit:.6g} under t^-{rep.relaxation_exponent:g} "
         f"from t in [5, 10] vs h_pred = {rep.h_pred:.6g}; u(0, 10) = {rep.h_obs:.6g}")
 
     worst, fits = 0.0, []
-    for scen in RELAXATION_RUNS:
-        rep = runs("run", scen)
+    for rep in relaxing:
         fitted, _ = relaxation_fit(rep.series.times, rep.series.center)
         worst = max(worst, abs(fitted - rep.relaxation_exponent))
-        fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} (L={scen.profile.amplitude:g}, "
-                    f"n={scen.n_dim})")
+        fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} "
+                    f"(L={rep.classification.growth_limit:g}, n={rep.resolution['n_dim']})")
     return [plateau, _check("relaxation_exponent", worst, RELAXATION_RATE_ATOL,
                             "free fit of u(0, t) = h + C t^-p over t in [40, 80] against "
                             "(L - n)/2: " + ", ".join(fits))]
 
 
-def _suite_conservation(runs):
-    drift = series_measures(runs("run", BOUNDED_DRIFT).series)["weighted_mass_drift"]
+def _suite_conservation(rep: RunReport):
+    drift = series_measures(rep.series)["weighted_mass_drift"]
     return [_check("weighted_mass_conservation", drift, CONSERVATION_DRIFT_RTOL,
                    "max relative drift of I_R, R=32, full weight")]
 
 
-def _suite_decay(runs):
-    m = series_measures(runs("run", SUBCRITICAL).series)
+def _suite_decay(rep: RunReport):
+    m = series_measures(rep.series)
     return [
         _check("decay_sup_monotone", m["sup_rise"], 1e-8, "largest framewise increase of sup u"),
         _check("decay_sup_small", m["sup_fraction"], DECAY_SUP_FRACTION,
@@ -623,7 +618,7 @@ def _suite_decay(runs):
     ]
 
 
-def _suite_critical(runs):
+def _suite_critical():
     cases = [
         (LogCorrected(n_dim=2, alpha=2.0), 2, Verdict.CRITICAL_LIFT_OFF),
         (LogCorrected(n_dim=2, alpha=1.0), 2, Verdict.CRITICAL_DECAY),
@@ -646,25 +641,23 @@ def _suite_critical(runs):
     ]
 
 
-def _suite_invariants(runs):
+def _suite_invariants(*runs: Trajectory):
     worst = {"constant": 0.0, "max_principle": 0.0, "radial_monotonicity": 0.0,
              "positivity": 0.0, "linearity": 0.0}
-    for scen in INVARIANT_RUNS:
-        profile, cfg, u0 = scen.profile, scen.solver, scen.initial_field()
-        grid = u0.grid
+    for ta in runs:
+        grid, profile, cfg, u0 = ta.grid, ta.profile, ta.config, ta.values[0]
         # companions on the run's grid, drift and scheme: the constant 0.7, v0, 2 u0 + 3 v0
         const = RadialField(grid, np.full(grid.num_nodes, 0.7))
         dev = float(np.max(np.abs(step(const, profile, cfg).values - 0.7))) / 0.7
         worst["constant"] = max(worst["constant"], dev)
 
-        ta = runs("simulate", scen)
         if cfg.certified:
             for name, value in field_measures(ta.values).items():
                 worst[name] = max(worst[name], value)
 
-        v0 = RadialField(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
-        tm = solve(RadialField(grid, 2.0 * u0.values + 3.0 * v0.values), profile, cfg, scen.t_end)
-        tb = solve(v0, profile, cfg, scen.t_end)
+        v0 = np.exp(-((grid.nodes - 2.0) ** 2))
+        tm = solve(RadialField(grid, 2.0 * u0 + 3.0 * v0), profile, cfg, ta.times[-1])
+        tb = solve(RadialField(grid, v0), profile, cfg, ta.times[-1])
         for fm, fa, fb in zip(tm.values, ta.values, tb.values):
             lin = 2.0 * fa + 3.0 * fb
             scale = float(np.max(np.abs(lin))) or 1.0
@@ -681,8 +674,8 @@ def _suite_invariants(runs):
     ]
 
 
-def _suite_convergence(runs):
-    errors = [_oracle_error(s, runs("simulate", s), s.t_end) for s in CONVERGENCE_LADDER]
+def _suite_convergence(coarse: Trajectory, middle: Trajectory, fine: Trajectory):
+    errors = [_oracle_error(traj, traj.times[-1]) for traj in (coarse, middle, fine)]
     p1 = math.log2(errors[0] / errors[1])
     p2 = math.log2(errors[1] / errors[2])
     order = 0.5 * math.log2(errors[0] / errors[2])
@@ -691,17 +684,17 @@ def _suite_convergence(runs):
     return [_check("convergence_order", order, 1.9, detail, ">=")]
 
 
-# suite -> (its checks from runs(how, scenario), the (how, scenario) pairs it reads, by call)
+# suite -> (its checks, a function of the runs it reads in order; those (how, scenario) pairs)
 _SUITES = {
-    "oracle": (_suite_oracle, lambda: [("simulate", ORACLE_WINDOW), ("simulate", MASS_GROWTH)]),
-    "conservation": (_suite_conservation, lambda: [("run", BOUNDED_DRIFT)]),
-    "liftoff": (_suite_liftoff, lambda: [("run", LINEAR_ORACLE), ("run", BOUNDED_DRIFT)]),
-    "decay": (_suite_decay, lambda: [("run", SUBCRITICAL)]),
-    "critical": (_suite_critical, lambda: []),
-    "invariants": (_suite_invariants, lambda: [("simulate", s) for s in INVARIANT_RUNS]),
-    "convergence": (_suite_convergence, lambda: [("simulate", s) for s in CONVERGENCE_LADDER]),
+    "oracle": (_suite_oracle, (("simulate", ORACLE_WINDOW), ("simulate", MASS_GROWTH))),
+    "conservation": (_suite_conservation, (("run", BOUNDED_DRIFT),)),
+    "liftoff": (_suite_liftoff, (("run", LINEAR_ORACLE), ("run", BOUNDED_DRIFT))),
+    "decay": (_suite_decay, (("run", SUBCRITICAL),)),
+    "critical": (_suite_critical, ()),
+    "invariants": (_suite_invariants, tuple(("simulate", s) for s in INVARIANT_RUNS)),
+    "convergence": (_suite_convergence, tuple(("simulate", s) for s in CONVERGENCE_LADDER)),
     "relaxation": (_suite_relaxation,
-                   lambda: [("run", BOUNDED_DRIFT), *(("run", s) for s in RELAXATION_RUNS)]),
+                   (("run", BOUNDED_DRIFT), *(("run", s) for s in RELAXATION_RUNS))),
 }
 
 
@@ -720,31 +713,24 @@ def verify(*suites: str) -> list[SuiteReport]:
 
     Returns one SuiteReport per distinct name.  The runs the suites declare are made first,
     once each, largest nodes x steps first, by _fork_map over the usable cores; a run's
-    exception reaches the caller.  Each suite's elapsed_seconds are its checks' plus the
-    in-worker seconds of each run it is the first to read.
+    exception reaches the caller.  Each suite's checks then take its runs, in declaration
+    order.  Its elapsed_seconds are its checks' plus the in-worker seconds of each run it
+    is the first to read.
     """
     for suite in suites:
         if suite not in _SUITES:
             raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(suite_names())}")
-    declared = {suite: _SUITES[suite][1]() for suite in suites}
-    pairs = sorted(dict.fromkeys(pair for reads in declared.values() for pair in reads),
+    suites = tuple(dict.fromkeys(suites))
+    pairs = sorted(dict.fromkeys(pair for suite in suites for pair in _SUITES[suite][1]),
                    key=lambda pair: -pair[1].grid.num_nodes * pair[1].t_end / pair[1].solver.dt)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     made = dict(zip(pairs, _fork_map(_make, pairs, cores or 1)))
     unbooked, reports = {pair: seconds for pair, (_, seconds) in made.items()}, []
-
-    def runs(how: str, scenario: Scenario):
-        """The made run or simulate of a declared scenario, booked to its first reader."""
-        if (how, scenario) not in declared[suite]:
-            raise LookupError(f"suite {suite!r} reads {how}({scenario.name}) undeclared")
-        out = made[how, scenario][0]
-        read[scenario.name] = (out.resolution if isinstance(out, RunReport)
-                               else resolution(scenario, out.kernel))
-        booked.append(unbooked.pop((how, scenario), 0.0))
-        return out
-
-    for suite in declared:
-        t0, read, booked = time.perf_counter(), {}, []
-        checks = _SUITES[suite][0](runs)
-        reports.append(SuiteReport(suite, checks, read, time.perf_counter() - t0 + sum(booked)))
+    for suite in suites:
+        t0, (checks, reads) = time.perf_counter(), _SUITES[suite]
+        outs = [made[pair][0] for pair in reads]
+        read = {scen.name: out.resolution if how == "run" else resolution(scen, out.kernel)
+                for (how, scen), out in zip(reads, outs)}
+        booked = sum(unbooked.pop(pair, 0.0) for pair in reads)
+        reports.append(SuiteReport(suite, checks(*outs), read, time.perf_counter() - t0 + booked))
     return reports

@@ -108,7 +108,7 @@ class Scenario:
         if self.t_end < 0:
             raise ScenarioError(f"run.t_end: must be non-negative, got {self.t_end}")
         try:
-            rows = step_plan(self.solver, self.t_end)[2]
+            rows = step_plan(self.solver, self.t_end)[1]
         except OverflowError:  # t_end / dt beyond the double range
             rows = math.inf
         nodes = self.grid.num_nodes
@@ -146,6 +146,16 @@ class Scenario:
             if r[0] > 0.0 or r[-1] < r_max * (1 - 1e-12):
                 raise ScenarioError(f"initial.samples: must cover [0, {r_max}], "
                                     f"got [{r[0]}, {r[-1]}]")
+            # the symmetric path steps y = u/s with s >= 2^-256 (solver.MAX_LOG_SCALE_RANGE)
+            # and lifts the row before a frozen outer node by dt upper u/s: within 2^1022
+            h = self.grid.spacing
+            lift = 0.0 if self.solver.outer_bc == "neumann" else (
+                self.solver.dt * (1.0 / h**2 + abs(c[-1]) / h))
+            bound, big = 2.0**766 / max(1.0, lift), float(np.max(np.abs(self.initial.values)))
+            if big > bound:
+                raise ScenarioError(f"initial.samples: largest magnitude {big:g} exceeds {bound:g}"
+                                    f" = 2^766 / max(1, dt * upper = {lift:g} at the outer node),"
+                                    f" past which the steps overflow")
 
     def initial_field(self) -> RadialField:
         return self.initial.field(self.grid)

@@ -298,63 +298,60 @@ def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialF
     return solve(u, profile, config, config.dt).final
 
 
-def step_plan(config: SolverConfig, t_end: float) -> tuple[int, float, int]:
-    """(full steps of dt, shortened final step or 0, snapshot rows) of a solve to t_end >= 0;
-    the rows are the frames at t = 0, every snapshot_stride steps before t_end, and t_end."""
+def step_plan(config: SolverConfig, t_end: float) -> tuple[tuple[tuple[float, int], ...], int]:
+    """((step size, steps) segments, snapshot rows) of a solve to t_end >= 0: steps of dt,
+    then one shortened final step where t_end is no multiple of dt.  The rows are the frames
+    at t = 0, every snapshot_stride steps before t_end, and t_end."""
     if t_end == 0:
-        return 0, 0.0, 1
+        return (), 1
     dt = config.dt
     ratio = t_end / dt
     n_full = int(np.floor(ratio))
     if ratio - n_full > 1 - 1e-9:  # integer step count up to roundoff
         n_full += 1
+    segments = ((dt, n_full),) if n_full else ()
     remainder = t_end - n_full * dt
-    if remainder <= dt * 1e-9:
-        remainder = 0.0
-    # last step whose state can be a stride snapshot; the state after it is the t_end frame
-    last = n_full if remainder > 0.0 else n_full - 1
-    return n_full, remainder, 2 + max(last, 0) // config.snapshot_stride
+    if remainder > dt * 1e-9:
+        segments += ((remainder, 1),)
+    steps = sum(count for _, count in segments)
+    # the state after the last step is the t_end frame; the one before can be a stride snapshot
+    return segments, 2 + max(steps - 1, 0) // config.snapshot_stride
 
 
 def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: float) -> Trajectory:
-    """Repeated stepping with snapshots every snapshot_stride steps.
+    """Step the segments of step_plan, with snapshots every snapshot_stride steps.
 
-    The final snapshot lands exactly at t_end; the last step is shortened when
-    t_end is not a multiple of dt.  t_end = 0 yields the single frame (0, u0).
-    The (frames x nodes) block is allocated once from the step count.
+    Each segment is factored once.  The final snapshot lands exactly at t_end; t_end = 0
+    yields the single frame (0, u0), and a plan without a step (0 <= t_end <= dt * 1e-9)
+    no kernel.  The (frames x nodes) block is allocated once from the step count.
     """
     grid = u0.grid
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if t_end == 0:
-        return Trajectory(grid, [0.0], u0.values[None, :], profile, config)
-
     dt, stride = config.dt, config.snapshot_stride
-    n_full, remainder, rows = step_plan(config, t_end)
+    segments, rows = step_plan(config, t_end)
     times = np.empty(rows)
     values = np.empty((rows, grid.num_nodes))
     times[0], values[0] = 0.0, u0.values
-    stepper = _ThetaStepper(grid, profile, config, dt)
-    x = stepper.state(u0.values)
-    good_k, good_x = 0, x.copy()
-    v = u0.values
-    for k in range(1, n_full + 1):
-        x = stepper.advance(x)
-        if k % stride == 0 or k == n_full:
-            v = stepper.field(x)
-            if not np.all(np.isfinite(v)):
-                k = _first_bad_step(stepper, good_x, good_k, k)
-                raise DivergenceError(f"non-finite values at step {k} (t = {k * dt:g})")
-            good_k, good_x = k, x.copy()
-            if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
-                times[k // stride], values[k // stride] = k * dt, v
-    if remainder > 0.0:
-        last = _ThetaStepper(grid, profile, config, remainder)
-        v = last.field(last.advance(last.state(v)))
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(f"non-finite values in final shortened step (t = {t_end:g})")
+    v, k, kernel = u0.values, 0, None
+    for size, count in segments:
+        stepper = _ThetaStepper(grid, profile, config, size)
+        x = stepper.state(v)
+        good_k, good_x, end = k, x.copy(), k + count
+        for k in range(k + 1, end + 1):
+            x = stepper.advance(x)
+            if k % stride == 0 or k == end:
+                v = stepper.field(x)
+                if not np.all(np.isfinite(v)):
+                    k = _first_bad_step(stepper, good_x, good_k, k)
+                    raise DivergenceError(f"non-finite values at step {k} "
+                                          f"(t = {min(k * dt, t_end):g})")
+                good_k, good_x = k, x.copy()
+                if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
+                    times[k // stride], values[k // stride] = k * dt, v
+        kernel = stepper.kernel
     times[-1], values[-1] = t_end, v
-    return Trajectory(grid, times, values, profile, config, stepper.kernel)
+    return Trajectory(grid, times, values, profile, config, kernel)
 
 
 def _first_bad_step(stepper: _ThetaStepper, x: np.ndarray, k: int, k_bad: int) -> int:

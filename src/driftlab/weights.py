@@ -191,12 +191,18 @@ def _far_integral(tail: Tail, n_dim: int, a: float) -> float:
 
 
 def _numeric_segment(w: WeightFunction, n_dim: int, a: float, b: float) -> float:
-    """int_a^b phi r^{n-1} dr, a < b finite, by trapezoid; 0 where phi falls to 0 within
-    the first panel, which cannot resolve it."""
-    npts = int(min(max(32, math.ceil((b - a) * PANELS_PER_UNIT)), 4_000_000)) + 1
-    r = np.linspace(a, b, npts)
+    """int_a^b phi r^{n-1} dr, a < b finite, by trapezoid on panels of at most
+    1/PANELS_PER_UNIT and, since phi'/phi = -psi, at most 1/(10 max|psi|), up to 4,000,000
+    panels; 0 where phi falls to 0 within the first panel, which cannot resolve it."""
+    panels = min(max(32, math.ceil((b - a) * PANELS_PER_UNIT)), 4_000_000)
+    r = np.linspace(a, b, panels + 1)
     with np.errstate(over="ignore"):
         phi = np.asarray(w.phi(r))
+        steep = min(10.0 * (b - a) * float(np.max(np.abs(w.profile.psi(r)))), 4_000_000)
+        # skip the finer grid where phi reads 0 past a here and at its first node too
+        if steep > panels and (phi[1:].any() or w.phi(a + (b - a) / math.ceil(steep)) > 0):
+            r = np.linspace(a, b, math.ceil(steep) + 1)
+            phi = np.asarray(w.phi(r))
         if not phi[1:].any():
             return 0.0
         return float(np.trapezoid(phi * r ** (n_dim - 1), r))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -113,7 +114,7 @@ def test_run_decay_uses_positive_part_weight():
     assert report.invariants["max_principle"] is True
 
 
-def test_invariants_suite_grades_only_the_certified_scheme(monkeypatch):
+def test_invariants_suite_grades_only_the_certified_scheme():
     # theta = 1 with centered advection is no M-matrix scheme: on 21 nodes the Gaussian
     # datum loses its radial monotonicity, which the M-matrix bounds must not grade
     backward_centered = SolverConfig(dt=5e-2, theta=1.0, advection="centered")
@@ -122,9 +123,7 @@ def test_invariants_suite_grades_only_the_certified_scheme(monkeypatch):
     assert not SolverConfig(dt=5e-2, theta=0.5, advection="upwind").certified
     scen = lab._gaussian("backward-centered", Linear(), 10.0, 21, backward_centered, 1.0, 8.0)
     assert lab.field_measures(lab.simulate(scen).values)["radial_monotonicity"] > 0.01
-    monkeypatch.setattr(lab, "INVARIANT_RUNS", (scen,))
-    (report,) = lab.verify("invariants")
-    checks = {c.name: c for c in report.checks}
+    checks = {c.name: c for c in lab._suite_invariants(lab.simulate(scen))}
     for name in ("max_principle", "radial_monotonicity", "positivity"):
         assert checks[name].passed and checks[name].measured == 0.0, name
     assert lab.run(scen).invariants["max_principle"] is None
@@ -749,11 +748,16 @@ def test_an_exception_in_a_verify_worker_reaches_the_caller(monkeypatch):
         lab.verify("oracle")
 
 
-def test_verify_refuses_a_run_its_suite_does_not_declare(monkeypatch):
-    declared = lab._SUITES["conservation"]
-    monkeypatch.setitem(lab._SUITES, "conservation", (lab._suite_liftoff, declared[1]))
-    with pytest.raises(LookupError, match=r"suite 'conservation' reads run\(linear-oracle\)"):
-        lab.verify("conservation")
+@pytest.mark.parametrize("suite", lab.suite_names())
+def test_each_suite_checks_take_exactly_the_runs_it_declares(suite):
+    # a suite's checks get its declared runs as positional arguments, in order: a signature
+    # that cannot take them all, or that takes more, would fail only inside a verify call
+    checks, reads = lab._SUITES[suite]
+    signature = inspect.signature(checks)
+    signature.bind(*reads)
+    if all(p.kind is not p.VAR_POSITIONAL for p in signature.parameters.values()):
+        with pytest.raises(TypeError):
+            signature.bind(*reads, None)
 
 
 # --- command line ------------------------------------------------------------

@@ -325,6 +325,53 @@ def test_non_numeric_initial_file_names_the_key(tmp_path):
     assert parse_scenario(text).initial == TabulatedInitial((0.0, 20.0), (1.0, 0.0))
 
 
+def test_a_datum_past_the_range_the_steps_carry_is_refused(tmp_path, capsys):
+    # n = 2, h = 0.1, dt = 1e-2: the outer coupling dt * upper = 1.0101 lowers 2^766 a little
+    bound = 2.0**766 / 1.0101010101010102
+    with pytest.raises(ScenarioError, match=r"^initial\.samples: largest magnitude 1e\+308 "
+                       r"exceeds 3\.84248e\+230 = 2\^766 / max\(1, dt \* upper = 1\.0101 at "
+                       r"the outer node\), past which the steps overflow$"):
+        parse_scenario(HUGE_DATUM)
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(HUGE_DATUM)
+    assert cli.main(["simulate", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: initial.samples: largest magnitude ")
+    # a datum read from a file is bounded alike; a neumann boundary has no frozen node to lift
+    csv = tmp_path / "u0.csv"
+    csv.write_text(f"0,0\n10,{-2.0 * bound!r}\n")
+    with pytest.raises(ScenarioError, match=r"^initial\.samples: largest magnitude 7\.68"):
+        parse_scenario(HUGE_DATUM.replace("samples = 0:1e308, 10:0", f"file = {csv}"))
+    for magnitude, outer_bc, refused in ((bound, "dirichlet_frozen", False),
+                                         (1.0001 * bound, "dirichlet_frozen", True),
+                                         (2.0**766, "neumann", False),
+                                         (1.0001 * 2.0**766, "neumann", True)):
+        doc = HUGE_DATUM.replace("1e308", repr(magnitude)).replace(
+            "theta = 0.5", f"theta = 0.5\nouter_bc = {outer_bc}")
+        if refused:
+            with pytest.raises(ScenarioError, match=r"^initial\.samples: "):
+                parse_scenario(doc)
+        else:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                assert np.all(np.isfinite(lab.simulate(parse_scenario(doc)).values))
+
+
+def test_the_datum_bound_keeps_the_frozen_node_lift_finite_at_the_widest_scales():
+    # n = 300 on 1001 nodes: the symmetric path's scales span 2^507 and end at s = 2^-253.6
+    # beside the frozen node, whose lift dt * upper * u / s passed the largest double for a
+    # datum of 2^766 at every dt; at the bound it stays finite, however large dt / h^2
+    doc = HUGE_DATUM.replace("n = 2\n", "n = 300\n").replace("num_nodes = 101", "num_nodes = 1001")
+    doc = doc.replace("theta = 0.5", "theta = 1\nadvection = upwind")
+    for dt in (1e-2, 1e3):
+        text = doc.replace("dt = 1e-2", f"dt = {dt!r}").replace("t_end = 0.1", f"t_end = {3 * dt!r}")
+        message = str(pytest.raises(ScenarioError, parse_scenario, text).value)
+        bound = float(message.split("exceeds ")[1].split(" = ")[0]) * (1 - 1e-5)  # 6 digits
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            traj = lab.simulate(parse_scenario(text.replace("1e308", repr(bound))))
+        assert traj.kernel == "ldlt" and np.all(np.isfinite(traj.values))
+
+
 def test_malformed_document():
     with pytest.raises(ScenarioError, match="malformed"):
         parse_scenario("profile\nkind = zero")
@@ -738,9 +785,32 @@ outer_bc = neumann
 t_end = 0.01
 """
 
+# a datum of 1e308 under Crank-Nicolson: y = u/s and u/theta overflowed at the first step
+HUGE_DATUM = """
+[profile]
+kind = zero
+
+[domain]
+n = 2
+r_max = 10
+num_nodes = 101
+
+[initial]
+kind = tabulated
+samples = 0:1e308, 10:0
+
+[solver]
+dt = 1e-2
+theta = 0.5
+
+[run]
+t_end = 0.1
+"""
+
 
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(documents())
+@example(HUGE_DATUM)
 @example(HUGE_PECLET)
 @example(FAR_TAIL)
 @example(UNSEEN_WEIGHT)

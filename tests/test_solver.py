@@ -224,6 +224,10 @@ def test_divergence_reported_with_step_index(monkeypatch):
         cfg = SolverConfig(dt=1.0, theta=1.0, snapshot_stride=stride)
         with pytest.raises(DivergenceError, match=r"at step 68 \(t = 68\)$"):
             solve(u0, Zero(), cfg, 200.0)
+        # a shortened final step is checked and named as the steps before it: 2^978 is
+        # 2^1023 after three steps of dt = 1, and a step of 0.75 multiplies it by about 4
+        with pytest.raises(DivergenceError, match=r"at step 4 \(t = 3\.75\)$"):
+            solve(RadialField(g, np.full(g.num_nodes, 2.0**978)), Zero(), cfg, 3.75)
 
 
 def test_step_is_one_step_of_solve(monkeypatch):
@@ -390,6 +394,14 @@ def test_solve_factors_once_per_step_size(monkeypatch):
         calls.clear()
         solve(u0, Zero(), cfg, 0.205)  # shortened final step: its own factorization
         assert calls == [call, call]
+        calls.clear()
+        solve(u0, Zero(), cfg, 0.005)  # only a shortened step: dt itself is never factored
+        assert calls == [call]
+        calls.clear()
+        no_step = solve(u0, Zero(), cfg, 1e-12)  # a plan with no step: two frames, no kernel
+        assert calls == [] and no_step.kernel is None
+        assert no_step.times.tolist() == [0.0, 1e-12]
+        assert np.array_equal(no_step.values, np.stack([u0.values, u0.values]))
 
 
 def test_crank_nicolson_makes_one_solve_per_step(monkeypatch):

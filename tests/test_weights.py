@@ -309,6 +309,18 @@ def test_a_lift_off_whose_weight_mass_underflows_is_undetermined(profile):
                                     "level to predict")
 
 
+@pytest.mark.parametrize("A", [5e12, 5e13, 7e14, 1e16])
+def test_a_weight_that_falls_within_its_first_panels_is_resolved(A):
+    # Psi = A (s^3 - s^4/2) on the ramp: phi falls to 1/e by r ~ A^(-1/3), inside one 1e-4
+    # panel, and the n = 1 mass is 2 Gamma(4/3) A^(-1/3) to leading order.  Panels of
+    # 1e-4 alone read 1e-4 for A = 5e13 and 7e14, 3% low at A = 5e12, and phi = 0 at every
+    # node past 0 at A = 1e16
+    w, scale = WeightFunction(PowerLaw(A, -1.0, 1.0)), A ** (-1 / 3)
+    mass = classify(PowerLaw(A, -1.0, 1.0), 1).phi_mass
+    assert mass == pytest.approx(2 * math.gamma(4 / 3) * scale, rel=1e-5)
+    assert mass == pytest.approx(2 * quad(w.phi, 0.0, 20 * scale)[0], rel=1e-6)
+
+
 def test_gamma_tail_whose_constant_overflows_is_free_of_nan():
     # c = A/(beta+1) = 1e309 and c r0^g leave the double range; log c is log A - log g
     tail = PowerLaw(1e303, -0.999999, 1.0).tail()
