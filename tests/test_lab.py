@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib.util
 import inspect
 import json
@@ -6,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -240,23 +240,92 @@ def test_sweep_values_with_one_label_are_rejected_before_any_row_runs(tmp_path, 
     assert cli.main(["sweep", cfg, "--param", "sigma", "--values", "1.0000001,1.0000002"]) == 2
 
 
+def _no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_records_a_dead_worker_and_returns(monkeypatch):
-    s = parse_scenario(FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    # the worker that dies takes down its own row only: the other worker and a new one
+    # make the rest
+    oracle = Path(__file__).resolve().parents[1] / "configs" / "linear_oracle.ini"
+    s = parse_scenario(oracle.read_text().replace("t_end = 6", "t_end = 0.2"))
     real_run = lab.run
 
     def dying_run(scenario, out_dir=None):
         if scenario.initial.sigma == 0.7:
-            time.sleep(1.0)  # the other rows finish before this worker dies
             os._exit(3)
         return real_run(scenario, out_dir=out_dir)
 
     monkeypatch.setattr(lab, "run", dying_run)  # the forked workers inherit the patch
-    result = lab.sweep(s, "sigma", [0.5, 0.7, 1.0], threads=2)
-    assert [row.value for row in result.rows] == [0.5, 0.7, 1.0]
+    result = lab.sweep(s, "sigma", [0.5, 0.7, 1.0, 1.5, 2.0], threads=2)
+    _no_child_left()
+    assert [row.value for row in result.rows] == [0.5, 0.7, 1.0, 1.5, 2.0]
     dead = result.rows[1]
+    assert all(row.error is None and row.report is not None
+               for row in result.rows if row is not dead)
+    assert result.table.count("ERROR") == 1
     assert dead.report is None and dead.error.startswith("BrokenProcessPool: ")
-    assert all(row.error is None and row.report is not None for row in result.rows[::2])
-    assert "ERROR" in result.table
+    assert "exit code 3" in dead.error
+
+
+def test_sweep_forks_a_new_worker_when_every_worker_has_died(monkeypatch):
+    # both first rows kill their workers: the third row still needs one
+    s = parse_scenario(FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    real_run, forks = lab.run, _recording_forks(monkeypatch)
+
+    def dying_run(scenario, out_dir=None):
+        if scenario.initial.sigma < 0.8:
+            os._exit(3)
+        return real_run(scenario, out_dir=out_dir)
+
+    monkeypatch.setattr(lab, "run", dying_run)
+    result = lab.sweep(s, "sigma", [0.5, 0.7, 1.0], threads=2)
+    _no_child_left()
+    assert [row.error is None for row in result.rows] == [False, False, True]
+    assert len(forks) == 3
+
+
+class _SlowToUnpickle:
+    """A result whose unpickling in the process that made it takes one second."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if os.getpid() == self.parent:
+            time.sleep(1.0)
+
+
+def _call_then_die(i, parent):
+    """Call 0 replies, and its worker dies 0.1 s later, while its reply is unpickled; call 1
+    takes 2 s, so the next call is handed to the dead worker."""
+    if i == 0:
+        threading.Timer(0.1, os._exit, (5,)).start()
+        return _SlowToUnpickle(parent)
+    if i == 1:
+        time.sleep(2.0)
+    return i
+
+
+def test_a_call_handed_to_a_worker_that_has_died_is_reported_broken():
+    made = lab._fork_map(_call_then_die, [(i, os.getpid()) for i in range(3)], 2,
+                         lambda i, parent, exc: str(exc))
+    _no_child_left()
+    assert isinstance(made[0], _SlowToUnpickle) and made[1] == 1
+    assert made[2].startswith("worker process ") and "exit code 5" in made[2]
+
+
+def test_a_reply_that_fails_to_pickle_takes_down_only_its_call():
+    def unpicklable_second(i):  # fn itself is never pickled: the children are forked
+        return (lambda: i) if i == 1 else i
+
+    made = lab._fork_map(unpicklable_second, [(i,) for i in range(4)], 2,
+                         lambda i, exc: str(exc))
+    _no_child_left()
+    assert made[::2] == [0, 2] and made[3] == 3 and "exit code 1" in made[1]
 
 
 def test_sweep_convergence_of_errors():
@@ -713,25 +782,29 @@ def test_verify_in_one_worker_matches_the_parallel_session(verified, monkeypatch
         assert report.resolution == parallel.resolution, report.suite
 
 
-def _recording_pool(monkeypatch):
-    real_pool, pool_sizes = concurrent.futures.ProcessPoolExecutor, []
+def _recording_forks(monkeypatch):
+    """The pids of the child processes forked from here on, as the parent sees them."""
+    fork, pids = os.fork, []
 
-    def recording_pool(max_workers=None, **kwargs):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers, **kwargs)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    return pool_sizes
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def test_verify_starts_one_worker_per_run_up_to_the_usable_cores(monkeypatch):
-    pool_sizes = _recording_pool(monkeypatch)
+    forks = _recording_forks(monkeypatch)
     lab.verify("conservation")  # one run: made in this process
     lab.verify("critical")  # no run
-    assert pool_sizes == []
+    assert forks == []
     lab.verify("liftoff")  # two runs
     cores = len(os.sched_getaffinity(0))
-    assert pool_sizes == ([min(cores, 2)] if cores > 1 else [])
+    assert len(forks) == (min(cores, 2) if cores > 1 else 0)
+    _no_child_left()
 
 
 def test_an_exception_in_a_verify_worker_reaches_the_caller(monkeypatch):
@@ -744,8 +817,11 @@ def test_an_exception_in_a_verify_worker_reaches_the_caller(monkeypatch):
         raise SolverError(f"no solve of {scenario.name} in a worker")
 
     monkeypatch.setattr(lab, "simulate", failing)
-    with pytest.raises(SolverError, match=r"^no solve of (oracle-window|mass-growth) in a "):
+    match = r"^no solve of (oracle-window|mass-growth) in a "
+    with pytest.raises(SolverError, match=match) as err:
         lab.verify("oracle")
+    assert "in failing\n" in str(err.value.__cause__)  # the worker's traceback
+    _no_child_left()
 
 
 @pytest.mark.parametrize("suite", lab.suite_names())
@@ -927,12 +1003,13 @@ def test_cli_sweep_rejects_zero_threads_while_parsing(monkeypatch, capsys):
 
 
 def test_cli_sweep_starts_at_most_one_worker_per_value(tmp_path, monkeypatch, capsys):
-    pool_sizes = _recording_pool(monkeypatch)
+    forks = _recording_forks(monkeypatch)
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
     assert cli.main(["sweep", cfg, "--param", "A", "--values", "1,3", "--threads", "64"]) == 0
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert cli.main(["sweep", cfg, "--param", "A", "--values", "3", "--threads", "64"]) == 0
-    assert pool_sizes == [2]  # one value runs in this process, without a pool
+    assert len(forks) == 2  # one value runs in this process, without a fork
+    _no_child_left()
     assert "lift_off" in capsys.readouterr().out
 
 
@@ -957,6 +1034,65 @@ def test_cli_runs_without_scipy_linalg_or_special(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_forked_verify_and_sweep_import_no_multiprocessing(tmp_path):
+    # the forked workers are made with os.fork and pipes alone: multiprocessing and
+    # concurrent.futures would cost every verify and sweep their resident memory
+    cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
+    script = (
+        "import os, sys\n"
+        "fork, forks = os.fork, []\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    forks.extend([pid] if pid else [])\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from driftlab import cli\n"
+        "assert cli.main(['verify', 'liftoff', '--quiet']) in (0, 1)\n"
+        f"assert cli.main(['sweep', {cfg!r}, '--param', 'A', '--values', '1,3', '--threads', '2',\n"
+        "                 '--quiet']) == 0\n"
+        "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = str(Path(driftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "4 []"
+
+
+def test_run_grades_weighted_mass_monotonicity_only_for_a_nonincreasing_datum():
+    # mass flows into the ball from outside a datum that rises with r: the positive-part
+    # I_R of a decay then need not fall, as radial_monotonicity is not graded either
+    scen = parse_scenario("""
+[profile]
+kind = zero
+
+[domain]
+n = 2
+r_max = 10
+num_nodes = 201
+
+[initial]
+kind = tabulated
+samples = 0:0, 10:1
+
+[solver]
+dt = 1e-2
+theta = 1.0
+advection = upwind
+
+[run]
+t_end = 1
+""")
+    report = lab.run(scen)
+    assert report.classification.verdict is Verdict.DECAY
+    assert report.weight_kind == "positive_part"
+    assert report.series.weighted_mass[-1] > report.series.weighted_mass[0]
+    assert report.invariants["weighted_mass_monotone"] is None
+    assert report.invariants["radial_monotonicity"] is None
 
 
 def test_cli_unknown_suite_exit_code(capsys):
