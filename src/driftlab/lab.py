@@ -405,7 +405,7 @@ def _sweep_table(parameter: str, rows) -> str:
 
 def _fork_map(fn, calls, workers: int, broken=None) -> list:
     """[fn(*args) for args in calls] in min(workers, len(calls)) forked child processes, or
-    here when that is one.  POSIX only, and no pool: a child starts with numpy, scipy's
+    here when that is one.  POSIX only, and no pool: a child starts with numpy and its
     LAPACK, driftlab, fn and calls in memory, so only the next call's index is sent, in the
     order of calls, to whichever child is free, through that child's own pipe.  Its result
     comes back pickled and length-prefixed through the child's reply pipe, read as it

@@ -39,11 +39,9 @@ non-negativity and radial monotonicity are preserved exactly (up to roundoff).
 
 from __future__ import annotations
 
-import importlib.util
+import ctypes
 import math
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -51,34 +49,37 @@ from .grid import RadialField, RadialGrid
 from .profiles import DriftProfile
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, without running scipy/linalg/__init__.py.
+def _bind_lapack():
+    """dpttrf, dpttrs, dgttrf and dgttrs of the LAPACK that numpy.linalg is linked against,
+    and the dtype of that LAPACK's integers.
 
-    scipy.linalg.lapack re-exports the routines of this same extension; the
-    scipy.linalg package itself would also load its array-API layer, which
-    dominates start-up time and memory.  find_spec imports only the root
-    scipy package.
+    dlsym on numpy's linalg extension also searches the libraries it loaded, so binding
+    maps no second library.  numpy >= 2.0's wheels export scipy-openblas64's names with
+    64-bit integers; the first name template that resolves all four routines is taken.
+    Every argument is an address (Fortran passes by reference), and dgttrs takes the
+    hidden length of its character argument TRANS last, by value.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    package = importlib.util.find_spec("scipy.linalg")
-    spec = None
-    if package is not None:
-        finder = FileFinder(package.submodule_search_locations[0],
-                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(name)
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension {name} is not installed", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    from numpy.linalg import _umath_linalg
+
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    names, missing = ("dpttrf", "dpttrs", "dgttrf", "dgttrs"), []
+    for template, integer in (("scipy_{}_64_", np.int64), ("{}_64_", np.int64),
+                              ("{}_", np.int32)):
+        symbols = [template.format(name) for name in names]
+        absent = [symbol for symbol in symbols if not hasattr(library, symbol)]
+        if absent:
+            missing += absent
+            continue
+        routines = [getattr(library, symbol) for symbol in symbols]
+        for routine, addresses, lengths in zip(routines, (4, 7, 7, 11), (0, 0, 0, 1)):
+            routine.argtypes = [ctypes.c_void_p] * addresses + [ctypes.c_size_t] * lengths
+            routine.restype = None
+        return (*routines, np.dtype(integer))
+    raise ImportError(f"numpy's LAPACK ({_umath_linalg.__file__}) lacks {', '.join(missing)}")
 
 
-_flapack = _load_flapack()
-dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+# the raw routines: module attributes so that a stepper binds whatever stands here when built
+dpttrf, dpttrs, dgttrf, dgttrs, LAPACK_INT = _bind_lapack()
 
 ADVECTION_MODES = ("centered", "upwind")
 OUTER_BCS = ("dirichlet_frozen", "neumann")
@@ -226,10 +227,11 @@ def _log_scales(lo, up, m):
 class _ThetaStepper:
     """Theta-scheme for one fixed dt, factored once.
 
-    state(u) is the vector the steps act on, advance(x) returns the next one (in
-    x's memory or in the state before x's) and field(x) reads u back; kernel names
-    the factorization, "ldlt" (dpttrf on the symmetrized system) or "lu" (dgttrf on
-    L itself).
+    load(u) sets the state the steps act on, advance() replaces it with the next one and
+    field() reads u back; kernel names the factorization, "ldlt" (dpttrf on the symmetrized
+    system) or "lu" (dgttrf on L itself).  The stepper owns the state's memory, one buffer
+    at theta = 1 and two taking turns below, and calls the solve with the addresses it took
+    when built: no step asks numpy for an address.
     """
 
     def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
@@ -239,58 +241,69 @@ class _ThetaStepper:
         # a frozen outer node is an identity row: a constant lift on the row before it
         m = N - 1 if config.outer_bc == "dirichlet_frozen" else N
         log_s = _log_scales(lo, up, m)
-        self._lift = 0.0
-        if log_s is None:
+        lu, self._lift = log_s is None, 0.0
+        rows = N if lu else m
+        self._ints = np.array([rows, 1, 0], dtype=LAPACK_INT)  # n (also ldb), nrhs, info
+        n, nrhs, info = (self._ints.ctypes.data + k * LAPACK_INT.itemsize for k in range(3))
+        if lu:
             self.kernel, self._scale = "lu", None
-            *self._factors, info = dgttrf(-theta * dt * lo[1:], 1.0 - theta * dt * d,
-                                          -theta * dt * up[:-1])
-            if info > 0:
-                raise SolverError(f"singular implicit system: zero pivot in row {info}")
-            self._solve = dgttrs
+            self._factors = (-theta * dt * lo[1:], 1.0 - theta * dt * d, -theta * dt * up[:-1],
+                             np.empty(N - 2), np.empty(N, dtype=LAPACK_INT))
+            factor, self._solve = dgttrf, dgttrs
+            failure = "singular implicit system: zero pivot in row"
         else:
             self.kernel, self._scale = "ldlt", np.exp(log_s)
             self._outer_coupling = dt * up[m - 1] / self._scale[-1]  # frozen node to row m-1
             off = np.sqrt(lo[1:m] * up[:m - 1])
-            *self._factors, info = dpttrf(1.0 - theta * dt * d[:m], -theta * dt * off)
-            if info > 0:
-                raise SolverError(f"implicit system not positive definite at row {info}")
-            self._solve = dpttrs
+            self._factors = (1.0 - theta * dt * d[:m], -theta * dt * off)
+            factor, self._solve = dpttrf, dpttrs
+            failure = "implicit system not positive definite at row"
+        factors = [a.ctypes.data for a in self._factors]
+        factor(n, *factors, info)
+        if self._ints[2] > 0:
+            raise SolverError(f"{failure} {self._ints[2]}")
+        # dgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans)) and
+        # dpttrs(n, nrhs, d, e, b, ldb, info), each solving in place in the buffer b
+        head, tail = (b"N",) * lu + (n, nrhs, *factors), (n, info) + (1,) * lu
         self._theta = theta
         # the explicit half folded into the solve (see the module docstring)
         self._fold = (1.0 - theta) / theta
-        self._buffer = np.empty(N if log_s is None else m) if theta < 1.0 else None
+        # below theta = 1 the solve writes a spare buffer and the old state becomes the spare
+        self.state = np.empty(rows)
+        self._spare = np.empty(rows) if theta < 1.0 else self.state
+        self._call, self._spare_call = (head + (b.ctypes.data,) + tail
+                                        for b in (self.state, self._spare))
 
-    def state(self, u: np.ndarray) -> np.ndarray:
-        """A fresh copy of u for the steps to act on: y = u/s without the frozen node on the
-        symmetric path, u itself on the general one."""
+    def load(self, u: np.ndarray):
+        """Set the state from u: y = u/s without the frozen node on the symmetric path, u
+        itself on the general one."""
         if self._scale is None:
-            return u.copy()
+            self.state[:] = u
+            return
         m = len(self._scale)
         self._outer = u[m:].copy()
         self._lift = self._outer_coupling * u[-1] if m < len(u) else 0.0
-        return u[:m] / self._scale
+        np.divide(u[:m], self._scale, out=self.state)
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """u of a state; valid until the next advance."""
+    def field(self) -> np.ndarray:
+        """u of the state; valid until the next advance."""
         if self._scale is None:
-            return x
-        return np.concatenate((self._scale * x, self._outer))
+            return self.state
+        return np.concatenate((self._scale * self.state, self._outer))
 
-    def advance(self, x: np.ndarray) -> np.ndarray:
-        theta = self._theta
-        if theta == 1.0:
-            rhs = x
-        else:
-            rhs, self._buffer = self._buffer, x  # the old state is the next step's buffer
+    def advance(self):
+        theta, x, rhs = self._theta, self.state, self._spare
+        if theta < 1.0:
             np.multiply(x, 1.0 / theta, out=rhs)
         if self._lift:
             rhs[-1] += self._lift
-        new = self._solve(*self._factors, rhs, overwrite_b=1)[0]
+        self._solve(*self._spare_call)
         if theta < 1.0:
             if self._fold != 1.0:
                 x *= self._fold
-            new -= x
-        return new
+            rhs -= x
+        self.state, self._spare = rhs, x
+        self._call, self._spare_call = self._spare_call, self._call
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
@@ -336,17 +349,17 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     v, k, kernel = u0.values, 0, None
     for size, count in segments:
         stepper = _ThetaStepper(grid, profile, config, size)
-        x = stepper.state(v)
-        good_k, good_x, end = k, x.copy(), k + count
+        stepper.load(v)
+        good_k, good_x, end = k, stepper.state.copy(), k + count
         for k in range(k + 1, end + 1):
-            x = stepper.advance(x)
+            stepper.advance()
             if k % stride == 0 or k == end:
-                v = stepper.field(x)
+                v = stepper.field()
                 if not np.all(np.isfinite(v)):
                     k = _first_bad_step(stepper, good_x, good_k, k)
                     raise DivergenceError(f"non-finite values at step {k} "
                                           f"(t = {min(k * dt, t_end):g})")
-                good_k, good_x = k, x.copy()
+                good_k, good_x = k, stepper.state.copy()
                 if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
                     times[k // stride], values[k // stride] = k * dt, v
         kernel = stepper.kernel
@@ -359,11 +372,12 @@ def _first_bad_step(stepper: _ThetaStepper, x: np.ndarray, k: int, k_bad: int) -
 
     Non-finite values never become finite again: the factors and scales are
     finite, so every product, sum and division with a NaN or Inf (0*Inf = NaN)
-    stays non-finite.  Replaying the same arithmetic from x therefore meets the
-    step a check after every step would have named.
+    stays non-finite.  Replaying the same arithmetic from x, copied into the
+    stepper's state, therefore meets the step a check after every step would have named.
     """
+    stepper.state[:] = x
     for k in range(k + 1, k_bad):
-        x = stepper.advance(x)
-        if not np.all(np.isfinite(stepper.field(x))):
+        stepper.advance()
+        if not np.all(np.isfinite(stepper.field())):
             return k
     return k_bad

@@ -1014,26 +1014,36 @@ def test_cli_sweep_starts_at_most_one_worker_per_value(tmp_path, monkeypatch, ca
 
 
 def test_cli_runs_without_scipy_linalg_or_special(tmp_path):
+    # the solver steps on numpy's own LAPACK: no command, forked workers included, imports
+    # any scipy module or maps a file of scipy's (its linalg extensions, its OpenBLAS)
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
     oracle = Path(__file__).resolve().parents[1] / "configs" / "linear_oracle.ini"
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "sys.modules['scipy'] = None\n"  # every scipy import now raises ImportError
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from driftlab import cli\n"
         f"assert cli.main(['classify', {str(oracle)!r}, '--quiet']) == 0\n"
         f"assert cli.main(['simulate', {cfg!r}, '--quiet']) == 0\n"
-        "print(sorted({'scipy.linalg', 'scipy.special', 'sympy', 'mpmath', 'multiprocessing',\n"
-        "              'concurrent.futures'} & set(sys.modules)))\n"
-        # scipy.linalg imported afterwards shares the already loaded LAPACK extension
-        "from scipy.linalg.lapack import dgttrs\n"
-        "from driftlab import solver\n"
-        "assert solver.dgttrs is dgttrs\n"
+        f"assert cli.main(['sweep', {cfg!r}, '--param', 'A', '--values', '1,3', '--threads', '2'])"
+        " == 0\n"
+        "assert cli.main(['verify', 'oracle', '--quiet']) == 0\n"
+        "del sys.modules['scipy']\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] in\n"
+        "             {'scipy', 'sympy', 'mpmath', 'multiprocessing'}\n"
+        "             or name.startswith('concurrent.futures')))\n"
+        "if sys.platform == 'linux':\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        print([line for line in maps if 'scipy.libs' in line or 'scipy/linalg' in line])\n"
     )
     src = str(Path(driftlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert "ERROR" not in out.stdout and out.stdout.count("match=") == 2  # both sweep rows
+    assert lines[-2:] == ["[]", "[]"] if sys.platform == "linux" else lines[-1] == "[]"
 
 
 def test_forked_verify_and_sweep_import_no_multiprocessing(tmp_path):

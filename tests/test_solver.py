@@ -1,3 +1,4 @@
+import ctypes
 import pickle
 
 import numpy as np
@@ -230,6 +231,21 @@ def test_divergence_reported_with_step_index(monkeypatch):
             solve(RadialField(g, np.full(g.num_nodes, 2.0**978)), Zero(), cfg, 3.75)
 
 
+def test_crank_nicolson_replay_names_the_step_a_per_step_check_names(monkeypatch):
+    # theta < 1 steps alternate between the stepper's two buffers; a replay from the last
+    # finite snapshot must still meet the step that stride 1 meets.  A Crank-Nicolson step
+    # of the growing operator multiplies u by about 3, past the largest double at step 640
+    _growing_operator(monkeypatch)
+    g = RadialGrid(1.0, 101, 2)
+    u0 = RadialField(g, 2.0**10 * GaussianData(1.0, 2).field(g).values)
+    named = set()
+    for stride in (1, 2, 7, 10**9):
+        with pytest.raises(DivergenceError) as exc:
+            solve(u0, Zero(), SolverConfig(dt=1.0, theta=0.5, snapshot_stride=stride), 1000.0)
+        named.add(str(exc.value))
+    assert named == {"non-finite values at step 640 (t = 640)"}
+
+
 def test_step_is_one_step_of_solve(monkeypatch):
     g = _grid()
     u0 = GaussianData(1.0, 2).field(g)
@@ -338,47 +354,82 @@ def test_general_path_matches_banded_reference_bitwise(profile, n_dim, r_max, no
                     assert np.all(traj.values[:, -1] == u0.values[-1])
 
 
+def _lapack_int(address):
+    """The LAPACK integer stored at an address."""
+    return int(np.frombuffer(ctypes.string_at(address, solver.LAPACK_INT.itemsize),
+                             solver.LAPACK_INT)[0])
+
+
+def _addresses(*arrays):
+    return [a.ctypes.data for a in arrays]
+
+
 def test_loaded_lapack_matches_scipy_linalg_bitwise():
     from scipy.linalg import lapack
 
-    for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs"):
-        assert getattr(solver, name) is getattr(lapack, name), name
     rng = np.random.default_rng(7)
     N = 64
+    ints = np.array([N, 1, 0], dtype=solver.LAPACK_INT)  # n (also ldb), nrhs, info
+    n, nrhs, info = (ints.ctypes.data + k * ints.itemsize for k in range(3))
     dl, du = rng.uniform(-1.0, 1.0, N - 1), rng.uniform(-1.0, 1.0, N - 1)
     d = rng.uniform(-0.1, 0.1, N)  # off-diagonals dominate: partial pivoting swaps rows
     b = rng.normal(size=N)
-    ours = solver.dgttrf(dl, d, du)
+    ours = (dl.copy(), d.copy(), du.copy(), np.empty(N - 2), np.empty(N, dtype=solver.LAPACK_INT))
+    solver.dgttrf(n, *_addresses(*ours), info)
     ref = lapack.dgttrf(dl, d, du)
-    assert ours[-1] == ref[-1] == 0
+    assert ints[2] == ref[-1] == 0
     assert np.any(ours[4] != np.arange(1, N + 1)), "no row was pivoted"
     for a, r in zip(ours, ref):
         assert np.array_equal(a, r)
-    x = solver.dgttrs(*ours[:-1], b)
+    x = b.copy()
+    solver.dgttrs(b"N", n, nrhs, *_addresses(*ours, x), n, info, 1)
     x_ref = lapack.dgttrs(*ref[:-1], b)
-    assert x[1] == x_ref[1] == 0
-    assert np.array_equal(x[0], x_ref[0])
+    assert ints[2] == x_ref[1] == 0
+    assert np.array_equal(x, x_ref[0])
+
+    # a zero column: a zero pivot in row 6
+    singular = (np.zeros(N - 1), np.where(np.arange(N) == 5, 0.0, 1.0), np.zeros(N - 1),
+                np.empty(N - 2), np.empty(N, dtype=solver.LAPACK_INT))
+    solver.dgttrf(n, *_addresses(*singular), info)
+    assert ints[2] == lapack.dgttrf(*singular[:3])[-1] == 6
 
     # a random symmetric positive definite tridiagonal: diagonal dominance
     e = rng.uniform(-1.0, 1.0, N - 1)
     d = 2.0 + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + rng.uniform(0.0, 1.0, N)
-    ours, ref = solver.dpttrf(d, e), lapack.dpttrf(d, e)
-    assert ours[-1] == ref[-1] == 0
+    ours = (d.copy(), e.copy())
+    solver.dpttrf(n, *_addresses(*ours), info)
+    ref = lapack.dpttrf(d, e)
+    assert ints[2] == ref[-1] == 0
     for a, r in zip(ours, ref):
         assert np.array_equal(a, r)
-    x = solver.dpttrs(*ours[:-1], b.copy(), overwrite_b=1)
+    x = b.copy()
+    solver.dpttrs(n, nrhs, *_addresses(*ours, x), n, info)
     x_ref = lapack.dpttrs(*ref[:-1], b)
-    assert x[1] == x_ref[1] == 0
-    assert np.array_equal(x[0], x_ref[0])
+    assert ints[2] == x_ref[1] == 0
+    assert np.array_equal(x, x_ref[0])
+
+    # not positive definite: a negative pivot in row 9
+    indefinite = (np.where(np.arange(N) == 8, -1.0, 2.0), np.zeros(N - 1))
+    solver.dpttrf(n, *_addresses(*indefinite), info)
+    assert ints[2] == lapack.dpttrf(*indefinite)[-1] == 9
+
+
+def test_lapack_without_the_routines_raises_import_error(monkeypatch):
+    class NoSymbols:
+        pass
+
+    monkeypatch.setattr(solver.ctypes, "CDLL", lambda path: NoSymbols())
+    with pytest.raises(ImportError, match="scipy_dpttrf_64_.*dgttrs_$"):
+        solver._bind_lapack()
 
 
 def test_solve_factors_once_per_step_size(monkeypatch):
     calls = []
 
     def counting(name, factorize):
-        def factor(*args):
-            calls.append((name, max(map(len, args))))  # the diagonal: one entry per row
-            return factorize(*args)
+        def factor(n, *args):
+            calls.append((name, _lapack_int(n)))  # the rows of the factored system
+            return factorize(n, *args)
         return factor
 
     for name in ("dgttrf", "dpttrf"):
