@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     p_swp.add_argument("config", help="scenario config file")
     p_swp.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMETERS))
     p_swp.add_argument("--threads", type=_worker_count, default=1, metavar="K",
-                       help="worker processes, forked, at most one per value (default 1)")
+                       help="rows made at a time, each in a child forked for it (default 1)")
     p_swp.add_argument("--values", required=True, metavar="CSV",
                        help="comma-separated parameter values, e.g. 1,2,3 or -0.5,-0.8")
 

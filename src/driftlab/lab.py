@@ -8,9 +8,9 @@ averaged growth L > n it also extrapolates the center's relaxation law to
 t = infinity, the limit in which the plateau identity h = I(0)/int phi holds.
 verify() runs the named verification suites on reference runs declared once
 in this module, making each run once per call, in parallel, however many read it.
-Its runs and sweep()'s rows are made by _fork_map in child processes forked
-directly, each fed call indices and sending results back through its own
-pipes: no process pool, no thread and no multiprocessing import.
+Its runs and sweep()'s rows are made by _fork_map, one child process forked
+directly per run or row, which sends its result back through its own pipe:
+no process pool, no thread and no multiprocessing import.
 A suite is the runs it reads plus a checks function of those runs, in order; a
 SuiteReport holds each check's pass/fail and measured numbers, and run()'s
 report.json resolution block of each run read.  Each discrete guarantee is
@@ -404,17 +404,16 @@ def _sweep_table(parameter: str, rows) -> str:
 
 
 def _fork_map(fn, calls, workers: int, broken=None) -> list:
-    """[fn(*args) for args in calls] in min(workers, len(calls)) forked child processes, or
-    here when that is one.  POSIX only, and no pool: a child starts with numpy and its
-    LAPACK, driftlab, fn and calls in memory, so only the next call's index is sent, in the
-    order of calls, to whichever child is free, through that child's own pipe.  Its result
-    comes back pickled and length-prefixed through the child's reply pipe, read as it
-    arrives.  A call's exception reaches the caller, the child's traceback as its cause,
-    once each child still making a call is killed and every child is reaped.  A child that
-    ends without replying (also one whose reply fails to pickle) takes down only the call it
-    was making: broken(*args, exc) stands in for that result where given, else exc is
-    raised, and a new child takes the calls not yet handed out.  No child outlives the
-    call."""
+    """[fn(*args) for args in calls], each call in a child process forked for it alone, at
+    most min(workers, len(calls)) at a time, or all here when that is one.  POSIX only, and
+    no pool: a child starts with numpy and its LAPACK, driftlab, fn and its call in memory,
+    makes the call, writes its result pickled to its own reply pipe and exits; the reply is
+    read to EOF as it arrives.  Calls are forked in order, the next one each time a child
+    ends.  A call's exception reaches the caller, the child's traceback as its cause, once
+    each running child is killed and every child is reaped.  A child that ends with a
+    nonzero exit code (also one whose reply fails to pickle) takes down only its own call:
+    broken(*args, exc) stands in for that result where given, else exc is raised.  No child
+    outlives the call."""
     workers = min(workers, len(calls))
     if workers <= 1:
         return [fn(*args) for args in calls]
@@ -422,87 +421,59 @@ def _fork_map(fn, calls, workers: int, broken=None) -> list:
     import select
     import signal
 
-    out, handed, poller = [None] * len(calls), 0, select.poll()
-    children = {}  # reply pipe -> [pid, task pipe, index of the call it makes, reply so far]
+    out, forked, poller = [None] * len(calls), 0, select.poll()
+    children = {}  # reply pipe -> [pid, index of its call, reply so far]
 
-    def hand(child):  # the next call, or EOF on the task pipe once none is left
-        nonlocal handed
-        if handed < len(calls):
-            try:
-                os.write(child[1], handed.to_bytes(4, "little"))
-            except BrokenPipeError:  # the child has died: the EOF of its reply pipe reports it
-                pass
-            child[2], handed = handed, handed + 1
-        else:
-            os.close(child[1])
-            child[2] = None  # a child with no call has no open task pipe
-
-    def spawn():
-        task_r, task_w = os.pipe()
+    def spawn():  # fork the child of the next call
+        nonlocal forked
         reply_r, reply_w = os.pipe()
-        if (pid := os.fork()) == 0:  # the child: make each call whose index arrives, until EOF
+        if (pid := os.fork()) == 0:  # the child: make the call, reply, exit
             code = 1
             try:
-                for fd, (_, task, i, _) in children.items():  # else a sibling never sees EOF
-                    os.close(fd)
-                    if i is not None:
-                        os.close(task)
-                os.close(task_w)
                 os.close(reply_r)
+                try:
+                    reply = True, fn(*calls[forked])
+                except Exception as exc:
+                    import traceback
+                    reply = False, (exc, traceback.format_exc())
                 with open(reply_w, "wb") as replies:
-                    while index := os.read(task_r, 4):
-                        try:
-                            reply = True, fn(*calls[int.from_bytes(index, "little")])
-                        except Exception as exc:
-                            import traceback
-                            reply = False, (exc, traceback.format_exc())
-                        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-                        replies.write(len(data).to_bytes(8, "little"))
-                        replies.write(data)
-                        replies.flush()
+                    pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(task_r)
         os.close(reply_w)
-        children[reply_r] = child = [pid, task_w, None, bytearray()]
+        children[reply_r] = [pid, forked, bytearray()]
         poller.register(reply_r, select.POLLIN)
-        hand(child)
+        forked += 1
 
     try:
-        for _ in range(workers):
+        while forked < workers:
             spawn()
         while children:
             for fd, _ in poller.poll():
-                pid, _, i, reply = child = children[fd]
+                pid, i, reply = children[fd]
                 if chunk := os.read(fd, 1 << 16):
                     reply += chunk
-                    if len(reply) >= 8 and len(reply) == 8 + int.from_bytes(reply[:8], "little"):
-                        ok, out[i] = pickle.loads(memoryview(reply)[8:])
-                        child[3] = bytearray()
-                        if not ok:
-                            raise out[i][0] from RuntimeError(out[i][1])
-                        hand(child)
                     continue
                 poller.unregister(fd)  # EOF: the child has ended
                 os.close(fd)
                 del children[fd]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if i is not None:
-                    os.close(child[1])
+                if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
                     exc = RuntimeError(f"worker process {pid} ended with exit code {code} "
                                        f"before replying")
                     if broken is None:
                         raise exc
                     out[i] = broken(*calls[i], exc)
-                    if handed < len(calls):
-                        spawn()
+                else:
+                    ok, out[i] = pickle.loads(reply)
+                    if not ok:
+                        raise out[i][0] from RuntimeError(out[i][1])
+                if forked < len(calls):
+                    spawn()
         return out
     finally:
-        for fd, (pid, task, i, _) in children.items():
-            if i is not None:
-                os.close(task)
-                os.kill(pid, signal.SIGKILL)
+        for fd, (pid, _, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
 
@@ -511,13 +482,13 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
           out_dir=None) -> SweepResult:
     """Independent runs of the base scenario with one parameter swept.
 
-    Rows run in min(threads, len(values)) child processes forked by _fork_map,
-    as verify()'s runs do, each taking the next row when it is free; with one
-    worker they run here, one after the other.  Each child runs the whole run()
-    of its row, artifacts included, and sends the row back pickled.  Row order
-    follows the given values; a row failure is recorded in place and does not
-    abort the remaining runs, and a child that dies marks only the row it was
-    making with BrokenProcessPool, while the other rows go on.
+    Rows run in child processes forked by _fork_map, as verify()'s runs do, one
+    child per row, at most min(threads, len(values)) at a time; with one they
+    run here, one after the other.  Each child runs the whole run() of its row,
+    artifacts included, and sends the row back pickled.  Row order follows the
+    given values; a row failure is recorded in place and does not abort the
+    remaining runs, and a child that dies marks only its own row with
+    BrokenProcessPool, while the other rows go on.
     Each row is labelled by its value to 6 significant digits; two values
     with one label raise ScenarioError before any row runs.
     """

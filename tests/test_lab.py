@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import time
 import warnings
 from dataclasses import replace
@@ -270,8 +269,8 @@ def test_sweep_records_a_dead_worker_and_returns(monkeypatch):
     assert "exit code 3" in dead.error
 
 
-def test_sweep_forks_a_new_worker_when_every_worker_has_died(monkeypatch):
-    # both first rows kill their workers: the third row still needs one
+def test_sweep_forks_one_child_per_row_so_rows_after_dead_ones_are_made(monkeypatch):
+    # the first two rows kill their children: the third row is made in a child of its own
     s = parse_scenario(FAST_SUPERCRITICAL.replace("t_end = 2.0", "t_end = 0.02"))
     real_run, forks = lab.run, _recording_forks(monkeypatch)
 
@@ -287,35 +286,45 @@ def test_sweep_forks_a_new_worker_when_every_worker_has_died(monkeypatch):
     assert len(forks) == 3
 
 
-class _SlowToUnpickle:
-    """A result whose unpickling in the process that made it takes one second."""
-
-    def __init__(self, parent):
-        self.parent = parent
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if os.getpid() == self.parent:
-            time.sleep(1.0)
+def _pid_and_interval(i):
+    start = time.monotonic()
+    time.sleep(0.05)
+    return os.getpid(), start, time.monotonic()
 
 
-def _call_then_die(i, parent):
-    """Call 0 replies, and its worker dies 0.1 s later, while its reply is unpickled; call 1
-    takes 2 s, so the next call is handed to the dead worker."""
-    if i == 0:
-        threading.Timer(0.1, os._exit, (5,)).start()
-        return _SlowToUnpickle(parent)
-    if i == 1:
-        time.sleep(2.0)
-    return i
-
-
-def test_a_call_handed_to_a_worker_that_has_died_is_reported_broken():
-    made = lab._fork_map(_call_then_die, [(i, os.getpid()) for i in range(3)], 2,
-                         lambda i, parent, exc: str(exc))
+def test_fork_map_makes_each_call_in_its_own_child_at_most_workers_at_a_time():
+    made = lab._fork_map(_pid_and_interval, [(i,) for i in range(6)], 2)
     _no_child_left()
-    assert isinstance(made[0], _SlowToUnpickle) and made[1] == 1
-    assert made[2].startswith("worker process ") and "exit code 5" in made[2]
+    pids = [pid for pid, _, _ in made]
+    assert len(set(pids)) == 6 and os.getpid() not in pids
+    # the most intervals that hold one instant is reached at some interval's start
+    assert max(sum(s <= t <= e for _, s, e in made) for _, t, _ in made) <= 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_fork_map_closes_every_pipe_and_reaps_every_child():
+    def fails_on_one(i):
+        if i == 1:
+            raise ValueError("call 1")
+        return i
+
+    def dies_on_one(i):
+        if i == 1:
+            os._exit(3)
+        return i
+
+    fds = os.listdir("/proc/self/fd")
+    assert lab._fork_map(lambda i: i, [(i,) for i in range(4)], 2) == [0, 1, 2, 3]
+    _no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
+    made = lab._fork_map(dies_on_one, [(i,) for i in range(4)], 2, lambda i, exc: str(exc))
+    _no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
+    assert made[::2] == [0, 2] and made[3] == 3 and "exit code 3" in made[1]
+    with pytest.raises(ValueError, match="call 1"):
+        lab._fork_map(fails_on_one, [(i,) for i in range(4)], 2)
+    _no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
 
 
 def test_a_reply_that_fails_to_pickle_takes_down_only_its_call():
@@ -796,7 +805,7 @@ def _recording_forks(monkeypatch):
     return pids
 
 
-def test_verify_starts_one_worker_per_run_up_to_the_usable_cores(monkeypatch):
+def test_verify_forks_one_child_per_run_when_it_has_usable_cores(monkeypatch):
     forks = _recording_forks(monkeypatch)
     lab.verify("conservation")  # one run: made in this process
     lab.verify("critical")  # no run
@@ -804,6 +813,10 @@ def test_verify_starts_one_worker_per_run_up_to_the_usable_cores(monkeypatch):
     lab.verify("liftoff")  # two runs
     cores = len(os.sched_getaffinity(0))
     assert len(forks) == (min(cores, 2) if cores > 1 else 0)
+    _usable_cores(monkeypatch, 2)
+    del forks[:]
+    lab.verify("convergence")  # three runs, two at a time
+    assert len(forks) == 3
     _no_child_left()
 
 
