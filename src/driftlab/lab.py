@@ -8,9 +8,10 @@ averaged growth L > n it also extrapolates the center's relaxation law to
 t = infinity, the limit in which the plateau identity h = I(0)/int phi holds.
 verify() runs the named verification suites on reference runs declared once
 in this module, making each run once per call, in parallel, however many read it.
-Its runs and sweep()'s rows are made by _fork_map, one child process forked
-directly per run or row, which sends its result back through its own pipe:
-no process pool, no thread and no multiprocessing import.
+Its runs and sweep()'s rows are made by _fork_map: verify's runs in this process
+and in child processes forked directly beside it, sweep()'s rows each in a child
+of its own.  A child sends its result back through its own pipe: no process
+pool, no thread and no multiprocessing import.
 A suite is the runs it reads plus a checks function of those runs, in order; a
 SuiteReport holds each check's pass/fail and measured numbers, and run()'s
 report.json resolution block of each run read.  Each discrete guarantee is
@@ -404,16 +405,19 @@ def _sweep_table(parameter: str, rows) -> str:
 
 
 def _fork_map(fn, calls, workers: int, broken=None) -> list:
-    """[fn(*args) for args in calls], each call in a child process forked for it alone, at
-    most min(workers, len(calls)) at a time, or all here when that is one.  POSIX only, and
-    no pool: a child starts with numpy and its LAPACK, driftlab, fn and its call in memory,
-    makes the call, writes its result pickled to its own reply pipe and exits; the reply is
-    read to EOF as it arrives.  Calls are forked in order, the next one each time a child
-    ends.  A call's exception reaches the caller, the child's traceback as its cause, once
-    each running child is killed and every child is reaped.  A child that ends with a
-    nonzero exit code (also one whose reply fails to pickle) takes down only its own call:
-    broken(*args, exc) stands in for that result where given, else exc is raised.  No child
-    outlives the call."""
+    """[fn(*args) for args in calls] over at most min(workers, len(calls)) processes, or all
+    here when that is one.  POSIX only, and no pool: a call made elsewhere gets a child forked
+    for it alone, with numpy and its LAPACK, driftlab, fn and its call in memory, which makes
+    the call, writes its result pickled to its own reply pipe and exits; a reply is read to
+    EOF once it starts to arrive.  Children are forked for calls in order, the next each time
+    one ends.  With broken this process only waits.  Without it this process is a worker too:
+    at most workers - 1 children run beside it, each forked only while at least two calls are
+    left, and it makes the calls from the back, collecting the children that have ended
+    between them, so its calls are short and a free child slot is soon refilled.  A child that ends with a nonzero exit code (also one
+    whose reply fails to pickle) takes down only its own call: broken(*args, exc) stands in
+    for its result where given, else exc is raised.  A call's exception reaches the caller,
+    a child's traceback as its cause, once each running child is killed and every child is
+    reaped.  No child outlives the call."""
     workers = min(workers, len(calls))
     if workers <= 1:
         return [fn(*args) for args in calls]
@@ -421,18 +425,24 @@ def _fork_map(fn, calls, workers: int, broken=None) -> list:
     import select
     import signal
 
-    out, forked, poller = [None] * len(calls), 0, select.poll()
-    children = {}  # reply pipe -> [pid, index of its call, reply so far]
+    out, todo, poller = [None] * len(calls), list(range(len(calls))), select.poll()
+    here = int(broken is None)  # 1 if this process makes calls too: a slot and a last call
+    children = {}  # reply pipe -> (pid, index of its call)
 
-    def spawn():  # fork the child of the next call
-        nonlocal forked
+    def spawn(i):  # fork the child of call i
         reply_r, reply_w = os.pipe()
-        if (pid := os.fork()) == 0:  # the child: make the call, reply, exit
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(reply_r)
+            os.close(reply_w)
+            raise
+        if pid == 0:  # the child: make the call, reply, exit
             code = 1
             try:
                 os.close(reply_r)
                 try:
-                    reply = True, fn(*calls[forked])
+                    reply = True, fn(*calls[i])
                 except Exception as exc:
                     import traceback
                     reply = False, (exc, traceback.format_exc())
@@ -442,37 +452,39 @@ def _fork_map(fn, calls, workers: int, broken=None) -> list:
             finally:
                 os._exit(code)
         os.close(reply_w)
-        children[reply_r] = [pid, forked, bytearray()]
+        children[reply_r] = pid, i
         poller.register(reply_r, select.POLLIN)
-        forked += 1
+
+    def collect(timeout):  # a child writes only once its call is made: read, reap, unpickle
+        for fd, _ in poller.poll(timeout):
+            pid, i = children.pop(fd)
+            poller.unregister(fd)
+            with open(fd, "rb") as replies:
+                reply = replies.read()
+            if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                exc = RuntimeError(f"worker process {pid} ended with exit code {code} "
+                                   f"before replying")
+                if broken is None:
+                    raise exc
+                out[i] = broken(*calls[i], exc)
+            else:
+                ok, out[i] = pickle.loads(reply)
+                if not ok:
+                    raise out[i][0] from RuntimeError(out[i][1])
 
     try:
-        while forked < workers:
-            spawn()
-        while children:
-            for fd, _ in poller.poll():
-                pid, i, reply = children[fd]
-                if chunk := os.read(fd, 1 << 16):
-                    reply += chunk
-                    continue
-                poller.unregister(fd)  # EOF: the child has ended
-                os.close(fd)
-                del children[fd]
-                if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                    exc = RuntimeError(f"worker process {pid} ended with exit code {code} "
-                                       f"before replying")
-                    if broken is None:
-                        raise exc
-                    out[i] = broken(*calls[i], exc)
-                else:
-                    ok, out[i] = pickle.loads(reply)
-                    if not ok:
-                        raise out[i][0] from RuntimeError(out[i][1])
-                if forked < len(calls):
-                    spawn()
+        while todo or children:
+            while len(children) < workers - here and len(todo) > here:
+                spawn(todo.pop(0))
+            if here and todo:
+                i = todo.pop()
+                out[i] = fn(*calls[i])
+                collect(0)
+            else:
+                collect(None)
         return out
     finally:
-        for fd, (pid, _, _) in children.items():
+        for fd, (pid, _) in children.items():
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
@@ -482,9 +494,9 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
           out_dir=None) -> SweepResult:
     """Independent runs of the base scenario with one parameter swept.
 
-    Rows run in child processes forked by _fork_map, as verify()'s runs do, one
-    child per row, at most min(threads, len(values)) at a time; with one they
-    run here, one after the other.  Each child runs the whole run() of its row,
+    Rows run in child processes forked by _fork_map, one child per row, at most
+    min(threads, len(values)) at a time, forked in order; with one they run
+    here, one after the other.  Each child runs the whole run() of its row,
     artifacts included, and sends the row back pickled.  Row order follows the
     given values; a row failure is recorded in place and does not abort the
     remaining runs, and a child that dies marks only its own row with
@@ -767,8 +779,10 @@ def verify(*suites: str) -> list[SuiteReport]:
     """Run the named verification suites at their reference resolution, in the order given.
 
     Returns one SuiteReport per distinct name.  The runs the suites declare are made first,
-    once each, largest nodes x steps first, by _fork_map over the usable cores; a run's
-    exception reaches the caller.  Each suite's checks then take its runs, in declaration
+    once each, largest nodes x steps first, by _fork_map over the usable cores: children,
+    at most one fewer than the usable cores at a time, take the largest runs, and this
+    process makes the smallest beside them.  A run's exception
+    reaches the caller.  Each suite's checks then take its runs, in declaration
     order.  Its elapsed_seconds are its checks' plus the in-worker seconds of each run it
     is the first to read.
     """

@@ -10,9 +10,10 @@ def verified():
     """({suite: SuiteReport} of one verify of every suite, each Scenario it simulated,
     {Scenario: RunReport} of each run it made), made once per test session.
 
-    verify takes its default path, the runs forked over the usable cores, so the runs are
-    counted where it dispatches them, in this process: a worker's records never come back.
-    A simulation outside that dispatch is counted too."""
+    verify takes its default path, its runs made over the usable cores, some in this process
+    and some in forked children, so the runs are counted where it dispatches them, in this
+    process, and not again inside the dispatch: a child's records never come back.  A
+    simulation outside that dispatch is counted too."""
     simulated, ran = [], {}
     simulate, fork_map = lab.simulate, lab._fork_map
 

@@ -289,16 +289,30 @@ def test_sweep_forks_one_child_per_row_so_rows_after_dead_ones_are_made(monkeypa
 def _pid_and_interval(i):
     start = time.monotonic()
     time.sleep(0.05)
-    return os.getpid(), start, time.monotonic()
+    return i, os.getpid(), start, time.monotonic()
+
+
+def _most_at_one_instant(made):
+    # the most intervals that hold one instant is reached at some interval's start
+    return max(sum(s <= t <= e for _, _, s, e in made) for _, _, t, _ in made)
 
 
 def test_fork_map_makes_each_call_in_its_own_child_at_most_workers_at_a_time():
+    # with broken, as sweep calls it: this process only waits, one child per call
+    made = lab._fork_map(_pid_and_interval, [(i,) for i in range(6)], 2, lambda i, exc: None)
+    _no_child_left()
+    pids = [pid for _, pid, _, _ in made]
+    assert len(set(pids)) == 6 and os.getpid() not in pids
+    assert _most_at_one_instant(made) <= 2
+
+
+def test_fork_map_without_broken_is_one_of_its_workers():
+    # as verify calls it: a child makes the first call, this process the last, in order
     made = lab._fork_map(_pid_and_interval, [(i,) for i in range(6)], 2)
     _no_child_left()
-    pids = [pid for pid, _, _ in made]
-    assert len(set(pids)) == 6 and os.getpid() not in pids
-    # the most intervals that hold one instant is reached at some interval's start
-    assert max(sum(s <= t <= e for _, s, e in made) for _, t, _ in made) <= 2
+    assert [i for i, _, _, _ in made] == list(range(6))
+    assert made[-1][1] == os.getpid() != made[0][1]
+    assert _most_at_one_instant(made) <= 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
@@ -313,6 +327,11 @@ def test_fork_map_closes_every_pipe_and_reaps_every_child():
             os._exit(3)
         return i
 
+    def fails_here_while_a_child_sleeps(i):
+        if i == 3:
+            raise ValueError("call 3")
+        time.sleep(30)
+
     fds = os.listdir("/proc/self/fd")
     assert lab._fork_map(lambda i: i, [(i,) for i in range(4)], 2) == [0, 1, 2, 3]
     _no_child_left()
@@ -325,6 +344,31 @@ def test_fork_map_closes_every_pipe_and_reaps_every_child():
         lab._fork_map(fails_on_one, [(i,) for i in range(4)], 2)
     _no_child_left()
     assert os.listdir("/proc/self/fd") == fds
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="call 3") as err:  # made here, the child of 0 asleep
+        lab._fork_map(fails_here_while_a_child_sleeps, [(i,) for i in range(4)], 2)
+    assert err.value.__cause__ is None and time.monotonic() - start < 30
+    _no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+@pytest.mark.parametrize("workers,broken", [(2, lambda i, exc: str(exc)), (3, None)])
+def test_a_fork_that_fails_closes_its_pipe_and_reaches_the_caller(monkeypatch, workers, broken):
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError("no second fork")
+        return fork()
+
+    fds = os.listdir("/proc/self/fd")
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(BlockingIOError, match="no second fork"):
+        lab._fork_map(lambda i: i, [(i,) for i in range(4)], workers, broken)
+    _no_child_left()
+    assert os.listdir("/proc/self/fd") == fds and len(forks) == 2
 
 
 def test_a_reply_that_fails_to_pickle_takes_down_only_its_call():
@@ -805,18 +849,24 @@ def _recording_forks(monkeypatch):
     return pids
 
 
-def test_verify_forks_one_child_per_run_when_it_has_usable_cores(monkeypatch):
+def test_verify_forks_its_largest_run_and_makes_the_runs_beside_it_here(monkeypatch):
     forks = _recording_forks(monkeypatch)
     lab.verify("conservation")  # one run: made in this process
     lab.verify("critical")  # no run
     assert forks == []
-    lab.verify("liftoff")  # two runs
-    cores = len(os.sched_getaffinity(0))
-    assert len(forks) == (min(cores, 2) if cores > 1 else 0)
     _usable_cores(monkeypatch, 2)
+    real_run, ran = lab.run, []
+
+    def recording_run(scenario, out_dir=None):  # a child's records never come back
+        ran.append((scenario.name, os.getpid()))
+        return real_run(scenario, out_dir=out_dir)
+
+    monkeypatch.setattr(lab, "run", recording_run)
+    lab.verify("liftoff")  # two runs: the larger in one child, the other here
+    assert len(forks) == 1 and ran == [(lab.LINEAR_ORACLE.name, os.getpid())]
     del forks[:]
-    lab.verify("convergence")  # three runs, two at a time
-    assert len(forks) == 3
+    lab.verify("convergence")  # three runs, one child slot: once it is taken, one run is left
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -1083,7 +1133,7 @@ def test_forked_verify_and_sweep_import_no_multiprocessing(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "4 []"
+    assert out.stdout.splitlines()[-1] == "3 []"  # liftoff's larger run, then each sweep row
 
 
 def test_run_grades_weighted_mass_monotonicity_only_for_a_nonincreasing_datum():
