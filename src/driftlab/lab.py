@@ -405,19 +405,19 @@ def _sweep_table(parameter: str, rows) -> str:
 
 
 def _fork_map(fn, calls, workers: int, broken=None) -> list:
-    """[fn(*args) for args in calls] over at most min(workers, len(calls)) processes, or all
-    here when that is one.  POSIX only, and no pool: a call made elsewhere gets a child forked
-    for it alone, with numpy and its LAPACK, driftlab, fn and its call in memory, which makes
-    the call, writes its result pickled to its own reply pipe and exits; a reply is read to
-    EOF once it starts to arrive.  Children are forked for calls in order, the next each time
-    one ends.  With broken this process only waits.  Without it this process is a worker too:
-    at most workers - 1 children run beside it, each forked only while at least two calls are
-    left, and it makes the calls from the back, collecting the children that have ended
-    between them, so its calls are short and a free child slot is soon refilled.  A child that ends with a nonzero exit code (also one
-    whose reply fails to pickle) takes down only its own call: broken(*args, exc) stands in
-    for its result where given, else exc is raised.  A call's exception reaches the caller,
-    a child's traceback as its cause, once each running child is killed and every child is
-    reaped.  No child outlives the call."""
+    """[fn(*args) for args in calls], in order, making at most workers calls at once, each in
+    this process or in a child forked for it alone.  POSIX only: no pool, no thread and no
+    multiprocessing import.  A call's exception reaches the caller, a child's traceback as its
+    cause.  A child that ends with a nonzero exit code (also one whose reply fails to pickle)
+    takes down only its own call: broken(*args, exc) stands in for its result where given,
+    else exc is raised.  No child and no pipe outlives the call, also when a call raises or a
+    fork fails: running children are killed and every child is reaped.
+
+    Schedule: with one worker, or one call, every call is made here.  Otherwise children are
+    forked for calls in order, the next as one ends, and each pickles its result to its own
+    reply pipe.  With broken this process only waits.  Without it, it makes calls from the
+    back and collects the children that ended between them, while at most workers - 1
+    children run beside it, each forked while two or more calls are left."""
     workers = min(workers, len(calls))
     if workers <= 1:
         return [fn(*args) for args in calls]
@@ -658,11 +658,12 @@ def _suite_relaxation(rep: RunReport, *relaxing: RunReport):
         f"from t in [5, 10] vs h_pred = {rep.h_pred:.6g}; u(0, 10) = {rep.h_obs:.6g}")
 
     worst, fits = 0.0, []
-    for rep in relaxing:
-        fitted, _ = relaxation_fit(rep.series.times, rep.series.center)
-        worst = max(worst, abs(fitted - rep.relaxation_exponent))
-        fits.append(f"{fitted:.3f} vs {rep.relaxation_exponent:g} "
-                    f"(L={rep.classification.growth_limit:g}, n={rep.resolution['n_dim']})")
+    for long_run in relaxing:
+        fitted, _ = relaxation_fit(long_run.series.times, long_run.series.center)
+        worst = max(worst, abs(fitted - long_run.relaxation_exponent))
+        fits.append(f"{fitted:.3f} vs {long_run.relaxation_exponent:g} "
+                    f"(L={long_run.classification.growth_limit:g}, "
+                    f"n={long_run.resolution['n_dim']})")
     return [plateau, _check("relaxation_exponent", worst, RELAXATION_RATE_ATOL,
                             "free fit of u(0, t) = h + C t^-p over t in [40, 80] against "
                             "(L - n)/2: " + ", ".join(fits))]
@@ -770,7 +771,8 @@ def suite_names() -> tuple:
 
 
 def _make(how: str, scenario: Scenario):
-    """(how(scenario), its seconds), how looked up here by name: no function is pickled."""
+    """(how(scenario), its seconds), how looked up by name at call time, so that a patch of
+    lab.run or lab.simulate (a test's counter or fault, perfbench's tracer) takes effect."""
     t0 = time.perf_counter()
     return globals()[how](scenario), time.perf_counter() - t0
 

@@ -58,6 +58,7 @@ def test_acceptance(verified, label, suite, check):
 
 
 def test_every_reference_run_is_simulated_once(verified):
-    reports, simulated, _ = verified
+    reports, simulated, ran = verified
     assert list(reports) == list(lab.suite_names())
     assert simulated and len(set(simulated)) == len(simulated)
+    assert ran[lab.LINEAR_ORACLE].converged is True  # settled on its plateau 2/3 by t = 6

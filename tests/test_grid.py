@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,7 +23,6 @@ def test_unit_sphere_area_matches_gamma_formula():
 
 def test_unit_sphere_area_is_finite_past_the_factorial_range():
     # Gamma(n/2) overflows a double from odd n = 173 and even n = 344; the area does not
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     for n in (172, 173, 175, 343, 344, 345, 1000, 1001, 2500.5):
         half = mpmath.mpf(n) / 2

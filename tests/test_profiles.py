@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,7 +161,6 @@ def test_powerlaw_rejects_a_ramp_scale_past_the_double_range():
 def test_powerlaw_integral_where_r0_to_the_g_is_no_double():
     # beta = 308, r0 = 10: r0^(beta+1) = 10^309 overflows while A/(beta+1) r0^(beta+1) does
     # not; the reference is the closed form in 40 digits, with the ramp's share v r0 / 4
-    mpmath = pytest.importorskip("mpmath")
     radii = (10.0, 10.1, 10.5)
     p = PowerLaw(1e-10, 308.0, 10.0)
     with warnings.catch_warnings():
@@ -175,7 +175,6 @@ def test_powerlaw_integral_where_r0_to_the_g_is_no_double():
 def test_powerlaw_integral_where_psi_r0_underflows_and_r_over_r0_to_the_g_overflows():
     # A r0^beta underflows to 0 and (r/r0)^g = 100^362 overflows: A/g r^g (1 - (r0/r)^g)
     # with r^g in logarithms, not 0 * inf = NaN; the ramp's share is below the least double
-    mpmath = pytest.importorskip("mpmath")
     radii = (0.5, 0.9456140341010968)
     for A in (3.334094882154609e-54, -3.334094882154609e-54):
         p = PowerLaw(A, 361.454043856422, 0.009415425396125283)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,7 +345,6 @@ def test_gamma_tail_below_the_least_double_matches_mpmath():
     # every digit (with c rounded to the least double it would be 2.49e294).  Reference: 2 pi e^c
     # Gamma(s, c) / (g c^s) over r >= r0 = 1 in 40 digits; the ramp's share, at most
     # 2 pi int_0^1 r dr = pi, is below the mass's last digit
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         g = mpmath.mpf(1.2) + 1
         c, s = mpmath.mpf(5e-324) / g, 2 / g
@@ -369,7 +369,6 @@ def test_upper_gamma_matches_scipy():
 
 def test_upper_gamma_of_nonpositive_order_matches_mpmath():
     # the log tail reads Gamma(1 - alpha, x) with 1 - alpha <= 0 for alpha >= 1
-    mpmath = pytest.importorskip("mpmath")
     for s in (-4.0, -2.5, -1.0, -0.5, 0.0):
         for x in np.geomspace(0.05, 60.0, 40):
             ref = float(mpmath.gammainc(s, x))
@@ -388,7 +387,6 @@ def test_upper_gamma_at_zero_is_the_complete_gamma():
 def test_log_tail_off_its_own_dimension_matches_mpmath(p, n):
     # phi = phi(r0) (r/r0)^-p (log r / log r0)^-alpha beyond r0, integrated in n < p;
     # the reference integrates that expression, not the library's closed form
-    mpmath = pytest.importorskip("mpmath")
     area = unit_sphere_area(n)
     for alpha in (-6.0, -1.0, 0.5, 1.0, 2.0):
         for r0 in (1.5, math.e):
