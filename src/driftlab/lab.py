@@ -11,7 +11,8 @@ in this module, making each run once per call, in parallel, however many read it
 Its runs and sweep()'s rows are made by _fork_map: verify's runs in this process
 and in child processes forked directly beside it, sweep()'s rows each in a child
 of its own.  A child sends its result back through its own pipe: no process
-pool, no thread and no multiprocessing import.
+pool and no multiprocessing import.  The one thread is solve's frame writer, which
+a solve starts and joins before it returns, so no fork copies a live thread.
 A suite is the runs it reads plus a checks function of those runs, in order; a
 SuiteReport holds each check's pass/fail and measured numbers, and run()'s
 report.json resolution block of each run read.  Each discrete guarantee is
@@ -69,13 +70,16 @@ def _fmt(x: float) -> str:
 # output files
 
 
-def write_frames_csv(path, traj: Trajectory) -> None:
-    # one line "t,r,u" per node, formatted with one %-operation per frame; "\0" stands for t
-    template = "".join(f"\0,{_fmt(ri)},%.17g\n" for ri in traj.grid.nodes.tolist())
-    with open(path, "w") as fh:
-        fh.write("t,r,u\n")
-        for t, row in zip(traj.times.tolist(), traj.values):
-            fh.write(template.replace("\0", _fmt(t)) % tuple(row.tolist()))
+def write_frames_csv(fh, grid: RadialGrid):
+    """Write frames.csv's header to the text file fh and return frame(t, row), which writes
+    one frame: a line "t,r,u" per node, formatted with one %-operation."""
+    template = "".join(f"\0,{_fmt(ri)},%.17g\n" for ri in grid.nodes.tolist())  # "\0" is t
+    fh.write("t,r,u\n")
+
+    def frame(t, row):
+        fh.write(template.replace("\0", _fmt(t)) % tuple(row.tolist()))
+
+    return frame
 
 
 def write_diagnostics_csv(path, series: DiagnosticSeries) -> None:
@@ -268,9 +272,11 @@ def relaxation_fit(times, center, rates=RELAXATION_RATE_GRID) -> tuple[float, fl
     return float(rates[k]), float(y.mean() - slope[k] * x_mean[k, 0])
 
 
-def simulate(scenario: Scenario) -> Trajectory:
-    """The scenario's trajectory: the one place a Scenario becomes a solve."""
-    return solve(scenario.initial_field(), scenario.profile, scenario.solver, scenario.t_end)
+def simulate(scenario: Scenario, frame=None) -> Trajectory:
+    """The scenario's trajectory: the one place a Scenario becomes a solve; frame(t, row) is
+    called once per stored frame, in order (see solver.solve)."""
+    return solve(scenario.initial_field(), scenario.profile, scenario.solver, scenario.t_end,
+                 frame=frame)
 
 
 def resolution(scenario: Scenario, kernel: str | None) -> dict:
@@ -284,7 +290,11 @@ def resolution(scenario: Scenario, kernel: str | None) -> dict:
 
 
 def run(scenario: Scenario, out_dir=None) -> RunReport:
-    """Classify, simulate, diagnose, check invariants, and emit artifacts."""
+    """Classify, simulate, diagnose, check invariants, and emit artifacts.
+
+    Under out_dir, frames.csv is written while the solve stores its frames, diagnostics.csv
+    and report.json after it.  A run that raises removes these files and each directory it
+    made."""
     t_start = time.perf_counter()
     result = classify(scenario.profile, scenario.n_dim)
 
@@ -304,7 +314,36 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
             "weighs, so the lift-off level I(0) / int phi is undefined"
         )
 
-    traj = simulate(scenario)
+    if out_dir is None:
+        return _measure(scenario, result, w, simulate(scenario), t_start)
+    out, made = Path(out_dir), []
+    for directory in (out, *out.parents):  # the directories mkdir makes, deepest first
+        if directory.exists():
+            break
+        made.append(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(out / "frames.csv", "w") as fh:
+            traj = simulate(scenario, frame=write_frames_csv(fh, grid))
+        report = _measure(scenario, result, w, traj, t_start)
+        write_diagnostics_csv(out / "diagnostics.csv", report.series)
+        write_json(out / "report.json", report.to_dict())
+    except BaseException:
+        for name in ("frames.csv", "diagnostics.csv", "report.json"):
+            (out / name).unlink(missing_ok=True)
+        for directory in made:  # one that another run writes in stays, with its parents
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
+    return report
+
+
+def _measure(scenario: Scenario, result: ClassificationResult, w: WeightFunction,
+             traj: Trajectory, t_start: float) -> RunReport:
+    """run()'s report of the scenario's trajectory, drift classification and weight."""
+    lifts = result.verdict.lifts_off
     u0 = RadialField(traj.grid, traj.values[0])
     series = diagnostics(traj, w, scenario.diag_radius)
 
@@ -324,14 +363,11 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
     elif result.verdict.decays:
         match = series_measures(series)["sup_fraction"] <= DECAY_SUP_FRACTION
 
-    flags = _invariant_flags(traj, u0, series, lifts if match is not None else None)
-    converged = _convergence_flag(traj, series, float(series.sup[0]))
-
-    report = RunReport(
+    return RunReport(
         name=scenario.name,
         classification=result,
         series=series,
-        weight_kind="full" if use_full_weight else "positive_part",
+        weight_kind="positive_part" if w.positive_part else "full",
         h_pred=h_pred,
         h_tail_bound=h_tail,
         h_obs=h_obs,
@@ -341,19 +377,11 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         final_sup=final_sup,
         final_center=final_center,
         verdict_behavior_match=match,
-        converged=converged,
-        invariants=flags,
+        converged=_convergence_flag(traj, series, float(series.sup[0])),
+        invariants=_invariant_flags(traj, u0, series, lifts if match is not None else None),
         resolution=resolution(scenario, traj.kernel),
         elapsed_seconds=time.perf_counter() - t_start,
     )
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_frames_csv(out / "frames.csv", traj)
-        write_diagnostics_csv(out / "diagnostics.csv", series)
-        write_json(out / "report.json", report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +434,14 @@ def _sweep_table(parameter: str, rows) -> str:
 
 def _fork_map(fn, calls, workers: int, broken=None) -> list:
     """[fn(*args) for args in calls], in order, making at most workers calls at once, each in
-    this process or in a child forked for it alone.  POSIX only: no pool, no thread and no
-    multiprocessing import.  A call's exception reaches the caller, a child's traceback as its
-    cause.  A child that ends with a nonzero exit code (also one whose reply fails to pickle)
-    takes down only its own call: broken(*args, exc) stands in for its result where given,
-    else exc is raised.  No child and no pipe outlives the call, also when a call raises or a
-    fork fails: running children are killed and every child is reaped.
+    this process or in a child forked for it alone.  POSIX only: no pool and no
+    multiprocessing import.  It forks between calls, where no thread a call started (a
+    solve's frame writer) is alive.  A call's exception reaches the caller, a child's
+    traceback as its cause.  A child that ends with a nonzero exit code (also one whose
+    reply fails to pickle) takes down only its own call: broken(*args, exc) stands in for
+    its result where given, else exc is raised.  No child and no pipe outlives the call,
+    also when a call raises or a fork fails: running children are killed and every child
+    is reaped.
 
     Schedule: with one worker, or one call, every call is made here.  Otherwise children are
     forked for calls in order, the next as one ends, and each pickles its result to its own

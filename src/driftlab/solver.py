@@ -19,12 +19,14 @@ S^-1 L S symmetric, with off-diagonal sqrt(lower[i+1]*upper[i]).  Since
 diag = -(lower+upper), the Gershgorin discs of I - theta*dt*L lie in
 Re z >= 1, so its symmetric similar matrix has every eigenvalue >= 1: it is
 positive definite for every theta and dt.  The steps then act on y = S^-1 u
-through a symmetric LDL^T factorization (LAPACK dpttrf, one dpttrs per step),
+through a symmetric LDL^T factorization (LAPACK dpttrf, solves by dptts2),
 a frozen outer node entering as a constant lift on the row before it.  Every
 other operator (a zero or negative coupling, or scales spanning more than
 MAX_LOG_SCALE_RANGE) is stepped on u itself through LU with partial pivoting
-(dgttrf, one dgttrs per step).  Either way the solve is the only matrix work of a
-step: theta lies in [1/2, 1], where the scheme is unconditionally stable, and with
+(dgttrf, solves by dgtts2).  Either way the solve is the only matrix work of a
+step: one call per step, or at theta = 1 without a lift one call per snapshot stride
+(see _ThetaStepper.advance).  theta lies in [1/2, 1], where the scheme is
+unconditionally stable, and with
 A = I - theta*dt*L the explicit half is (I - (1-theta)*A)/theta, so for theta < 1
 
     u_new = A^-1 (u_old/theta + lift) - ((1-theta)/theta) u_old,
@@ -50,19 +52,19 @@ from .profiles import DriftProfile
 
 
 def _bind_lapack():
-    """dpttrf, dpttrs, dgttrf and dgttrs of the LAPACK that numpy.linalg is linked against,
+    """dpttrf, dptts2, dgttrf and dgtts2 of the LAPACK that numpy.linalg is linked against,
     and the dtype of that LAPACK's integers.
 
     dlsym on numpy's linalg extension also searches the libraries it loaded, so binding
     maps no second library.  numpy >= 2.0's wheels export scipy-openblas64's names with
     64-bit integers; the first name template that resolves all four routines is taken.
-    Every argument is an address (Fortran passes by reference), and dgttrs takes the
-    hidden length of its character argument TRANS last, by value.
+    Every argument is an address (Fortran passes by reference).  dptts2 and dgtts2 are the
+    solves dpttrs and dgttrs call, without their argument checks, which refuse ldb = 0.
     """
     from numpy.linalg import _umath_linalg
 
     library = ctypes.CDLL(_umath_linalg.__file__)
-    names, missing = ("dpttrf", "dpttrs", "dgttrf", "dgttrs"), []
+    names, missing = ("dpttrf", "dptts2", "dgttrf", "dgtts2"), []
     for template, integer in (("scipy_{}_64_", np.int64), ("{}_64_", np.int64),
                               ("{}_", np.int32)):
         symbols = [template.format(name) for name in names]
@@ -71,15 +73,15 @@ def _bind_lapack():
             missing += absent
             continue
         routines = [getattr(library, symbol) for symbol in symbols]
-        for routine, addresses, lengths in zip(routines, (4, 7, 7, 11), (0, 0, 0, 1)):
-            routine.argtypes = [ctypes.c_void_p] * addresses + [ctypes.c_size_t] * lengths
+        for routine, addresses in zip(routines, (4, 6, 7, 10)):
+            routine.argtypes = [ctypes.c_void_p] * addresses
             routine.restype = None
         return (*routines, np.dtype(integer))
     raise ImportError(f"numpy's LAPACK ({_umath_linalg.__file__}) lacks {', '.join(missing)}")
 
 
 # the raw routines: module attributes so that a stepper binds whatever stands here when built
-dpttrf, dpttrs, dgttrf, dgttrs, LAPACK_INT = _bind_lapack()
+dpttrf, dptts2, dgttrf, dgtts2, LAPACK_INT = _bind_lapack()
 
 ADVECTION_MODES = ("centered", "upwind")
 OUTER_BCS = ("dirichlet_frozen", "neumann")
@@ -227,11 +229,12 @@ def _log_scales(lo, up, m):
 class _ThetaStepper:
     """Theta-scheme for one fixed dt, factored once.
 
-    load(u) sets the state the steps act on, advance() replaces it with the next one and
-    field() reads u back; kernel names the factorization, "ldlt" (dpttrf on the symmetrized
-    system) or "lu" (dgttrf on L itself).  The stepper owns the state's memory, one buffer
-    at theta = 1 and two taking turns below, and calls the solve with the addresses it took
-    when built: no step asks numpy for an address.
+    load(u) sets the state the steps act on, advance(steps) replaces it with the state that
+    many steps on and field() reads u back; kernel names the factorization, "ldlt" (dpttrf on
+    the symmetrized system) or "lu" (dgttrf on L itself).  The stepper owns the state's
+    memory, one buffer at theta = 1 and two taking turns below, and calls the solve with the
+    addresses it took when built: no step asks numpy for an address.  whole_strides tells
+    whether advance makes its steps in one call of the solve.
     """
 
     def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
@@ -243,35 +246,36 @@ class _ThetaStepper:
         log_s = _log_scales(lo, up, m)
         lu, self._lift = log_s is None, 0.0
         rows = N if lu else m
-        self._ints = np.array([rows, 1, 0], dtype=LAPACK_INT)  # n (also ldb), nrhs, info
-        n, nrhs, info = (self._ints.ctypes.data + k * LAPACK_INT.itemsize for k in range(3))
+        # n, nrhs, zero (itrans, ldb), info
+        self._ints = np.array([rows, 1, 0, 0], dtype=LAPACK_INT)
+        n, nrhs, zero, info = (self._ints.ctypes.data + k * LAPACK_INT.itemsize for k in range(4))
         if lu:
             self.kernel, self._scale = "lu", None
             self._factors = (-theta * dt * lo[1:], 1.0 - theta * dt * d, -theta * dt * up[:-1],
                              np.empty(N - 2), np.empty(N, dtype=LAPACK_INT))
-            factor, self._solve = dgttrf, dgttrs
+            factor, self._solve = dgttrf, dgtts2
             failure = "singular implicit system: zero pivot in row"
         else:
             self.kernel, self._scale = "ldlt", np.exp(log_s)
             self._outer_coupling = dt * up[m - 1] / self._scale[-1]  # frozen node to row m-1
             off = np.sqrt(lo[1:m] * up[:m - 1])
             self._factors = (1.0 - theta * dt * d[:m], -theta * dt * off)
-            factor, self._solve = dpttrf, dpttrs
+            factor, self._solve = dpttrf, dptts2
             failure = "implicit system not positive definite at row"
         factors = [a.ctypes.data for a in self._factors]
         factor(n, *factors, info)
-        if self._ints[2] > 0:
-            raise SolverError(f"{failure} {self._ints[2]}")
-        # dgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans)) and
-        # dpttrs(n, nrhs, d, e, b, ldb, info), each solving in place in the buffer b
-        head, tail = (b"N",) * lu + (n, nrhs, *factors), (n, info) + (1,) * lu
+        if self._ints[3] > 0:
+            raise SolverError(f"{failure} {self._ints[3]}")
+        # dgtts2(itrans, n, nrhs, dl, d, du, du2, ipiv, b, ldb) and
+        # dptts2(n, nrhs, d, e, b, ldb), each solving in place in the buffer b
+        head = (zero,) * lu + (n, nrhs, *factors)
         self._theta = theta
         # the explicit half folded into the solve (see the module docstring)
         self._fold = (1.0 - theta) / theta
         # below theta = 1 the solve writes a spare buffer and the old state becomes the spare
         self.state = np.empty(rows)
         self._spare = np.empty(rows) if theta < 1.0 else self.state
-        self._call, self._spare_call = (head + (b.ctypes.data,) + tail
+        self._call, self._spare_call = (head + (b.ctypes.data, zero)
                                         for b in (self.state, self._spare))
 
     def load(self, u: np.ndarray):
@@ -279,11 +283,12 @@ class _ThetaStepper:
         itself on the general one."""
         if self._scale is None:
             self.state[:] = u
-            return
-        m = len(self._scale)
-        self._outer = u[m:].copy()
-        self._lift = self._outer_coupling * u[-1] if m < len(u) else 0.0
-        np.divide(u[:m], self._scale, out=self.state)
+        else:
+            m = len(self._scale)
+            self._outer = u[m:].copy()
+            self._lift = self._outer_coupling * u[-1] if m < len(u) else 0.0
+            np.divide(u[:m], self._scale, out=self.state)
+        self.whole_strides = self._theta == 1.0 and not self._lift
 
     def field(self) -> np.ndarray:
         """u of the state; valid until the next advance."""
@@ -291,19 +296,32 @@ class _ThetaStepper:
             return self.state
         return np.concatenate((self._scale * self.state, self._outer))
 
-    def advance(self):
-        theta, x, rhs = self._theta, self.state, self._spare
-        if theta < 1.0:
-            np.multiply(x, 1.0 / theta, out=rhs)
-        if self._lift:
-            rhs[-1] += self._lift
-        self._solve(*self._spare_call)
-        if theta < 1.0:
-            if self._fold != 1.0:
-                x *= self._fold
-            rhs -= x
-        self.state, self._spare = rhs, x
-        self._call, self._spare_call = self._spare_call, self._call
+    def advance(self, steps: int = 1):
+        """Make steps steps.
+
+        With whole_strides (theta = 1, no lift) a step is the solve of the state in place, so
+        one call with nrhs = steps and ldb = 0 makes them all: every column of b is the one
+        state buffer, and the solve's loop over whole columns, in order, repeats per column
+        the arithmetic of one call per step.  Otherwise one call per step.
+        """
+        if self.whole_strides:
+            self._ints[1] = steps
+            self._solve(*self._call)
+            return
+        theta, fold, lift, solve = self._theta, self._fold, self._lift, self._solve
+        for _ in range(steps):
+            x, rhs = self.state, self._spare
+            if theta < 1.0:
+                np.multiply(x, 1.0 / theta, out=rhs)
+            if lift:
+                rhs[-1] += lift
+            solve(*self._spare_call)
+            if theta < 1.0:
+                if fold != 1.0:
+                    x *= fold
+                rhs -= x
+            self.state, self._spare = rhs, x
+            self._call, self._spare_call = self._spare_call, self._call
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
@@ -331,12 +349,18 @@ def step_plan(config: SolverConfig, t_end: float) -> tuple[tuple[tuple[float, in
     return segments, 2 + max(steps - 1, 0) // config.snapshot_stride
 
 
-def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: float) -> Trajectory:
+def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: float,
+          frame=None) -> Trajectory:
     """Step the segments of step_plan, with snapshots every snapshot_stride steps.
 
     Each segment is factored once.  The final snapshot lands exactly at t_end; t_end = 0
     yields the single frame (0, u0), and a plan without a step (0 <= t_end <= dt * 1e-9)
     no kernel.  The (frames x nodes) block is allocated once from the step count.
+    frame(t, row), where given, is called once per stored frame, in order, with a row of
+    that block.  Where the stepper makes whole strides in one call, one thread beside the
+    solve calls it, joined before solve returns; otherwise this thread, after each stride.
+    Either way an exception frame raises stops the solve by the next stored frame and
+    reaches the caller.
     """
     grid = u0.grid
     if t_end < 0:
@@ -346,14 +370,20 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     times = np.empty(rows)
     values = np.empty((rows, grid.num_nodes))
     times[0], values[0] = 0.0, u0.values
+    put, join = frame or (lambda t, row: None), None
+    put(0.0, values[0])
     v, k, kernel = u0.values, 0, None
-    for size, count in segments:
-        stepper = _ThetaStepper(grid, profile, config, size)
-        stepper.load(v)
-        good_k, good_x, end = k, stepper.state.copy(), k + count
-        for k in range(k + 1, end + 1):
-            stepper.advance()
-            if k % stride == 0 or k == end:
+    try:
+        for size, count in segments:
+            stepper = _ThetaStepper(grid, profile, config, size)
+            stepper.load(v)
+            if stepper.whole_strides and frame is not None and join is None:
+                put, join = _beside(frame)
+            good_k, good_x, end = k, stepper.state.copy(), k + count
+            while k < end:
+                steps = min(end, (k // stride + 1) * stride) - k
+                stepper.advance(steps)
+                k += steps
                 v = stepper.field()
                 if not np.all(np.isfinite(v)):
                     k = _first_bad_step(stepper, good_x, good_k, k)
@@ -362,9 +392,52 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
                 good_k, good_x = k, stepper.state.copy()
                 if k % stride == 0 and k // stride < rows - 1:  # the last row is t_end's
                     times[k // stride], values[k // stride] = k * dt, v
-        kernel = stepper.kernel
-    times[-1], values[-1] = t_end, v
+                    put(times[k // stride], values[k // stride])
+            kernel = stepper.kernel
+        times[-1], values[-1] = t_end, v
+        put(times[-1], values[-1])
+    finally:
+        failure = join and join()
+    if failure:
+        raise failure
     return Trajectory(grid, times, values, profile, config, kernel)
+
+
+def _beside(frame):
+    """(put, join) of one thread that calls frame(t, row) for each put(t, row), in order.
+
+    The solve puts a frame just before its next LAPACK call, during which ctypes releases
+    the GIL, so the frame is formatted while the steps run.  Once frame has raised there,
+    the next put raises its exception, which stops the solve as a frame called inline
+    would.  join() puts the end marker, waits for the thread and returns that exception,
+    or None.
+    """
+    import queue
+    import threading
+
+    frames, failed = queue.SimpleQueue(), []
+
+    def drain():
+        try:
+            for args in iter(frames.get, None):
+                frame(*args)
+        except BaseException as exc:  # handed to the solve's caller by join
+            failed.append(exc)
+
+    thread = threading.Thread(target=drain, name="frames")
+    thread.start()
+
+    def join():
+        frames.put(None)
+        thread.join()
+        return failed[0] if failed else None
+
+    def put(t, row):
+        if failed:
+            raise failed[0]
+        frames.put((t, row))
+
+    return put, join
 
 
 def _first_bad_step(stepper: _ThetaStepper, x: np.ndarray, k: int, k_bad: int) -> int:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 
 import driftlab
-from driftlab import cli, lab
+from driftlab import cli, lab, solver
 from driftlab.grid import RadialField, RadialGrid
 from driftlab.profiles import Linear, LogCorrected, PowerLaw, Zero
 from driftlab.oracles import GaussianData
 from driftlab.scenario import ScenarioError, parse_scenario
-from driftlab.solver import SolverConfig, SolverError, Trajectory
+from driftlab.solver import DivergenceError, SolverConfig, SolverError, Trajectory
 from driftlab.weights import DiagnosticSeries, Verdict, classify
 
 from conftest import count_dispatches
@@ -132,6 +133,57 @@ def test_invariants_suite_grades_only_the_certified_scheme():
     assert lab.run(scen).invariants["max_principle"] is None
 
 
+def _recording_frames(monkeypatch, fail_after=None):
+    """Patch lab.write_frames_csv to record (t, written from the main thread) per frame, and
+    to raise OSError at the frame after fail_after frames."""
+    frames, write = [], lab.write_frames_csv
+
+    def recording(fh, grid):
+        frame = write(fh, grid)
+
+        def record(t, row):
+            if len(frames) == fail_after:
+                raise OSError(28, "No space left on device")
+            frames.append((float(t), threading.current_thread() is threading.main_thread()))
+            frame(t, row)
+        return record
+
+    monkeypatch.setattr(lab, "write_frames_csv", recording)
+    return frames
+
+
+def test_a_run_that_raises_leaves_no_file_directory_or_thread(tmp_path, monkeypatch):
+    # frames.csv is written while the solve stores its frames: a run that fails after some
+    # were written raises its own exception, and removes the file, each directory it made
+    # and the thread that wrote backward Euler's frames beside the steps
+    threads, out = threading.active_count(), tmp_path / "made" / "run"
+    backward = parse_scenario(FAST_SUBCRITICAL)
+    # neumann leaves no lift: whole strides, a frame thread
+    backward = replace(backward, solver=replace(backward.solver, outer_bc="neumann"))
+    dt = backward.solver.dt
+
+    def growing(grid, profile, advection, outer_bc):  # a step multiplies u by 32
+        zeros = np.zeros(grid.num_nodes)
+        return zeros, np.full(grid.num_nodes, (1.0 - 2.0**-5) / dt), zeros
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "operator_diagonals", growing)
+        frames = _recording_frames(mp)
+        with pytest.raises(DivergenceError, match=r"at step 205 "):
+            lab.run(backward, out_dir=out)
+    assert frames == [(0.0, True), (1.0, False)]  # the frame at step 200 by the thread
+    assert list(tmp_path.iterdir()) == [] and threading.active_count() == threads
+
+    # a frame writer that fails, beside the steps or after them in this thread
+    for scenario, main in ((backward, False), (parse_scenario(FAST_SUPERCRITICAL), True)):
+        with monkeypatch.context() as mp:
+            frames = _recording_frames(mp, fail_after=2)
+            with pytest.raises(OSError, match="No space left on device"):
+                lab.run(scenario, out_dir=out)
+        assert frames[1][1] is main
+        assert list(tmp_path.iterdir()) == [] and threading.active_count() == threads
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     s = parse_scenario(FAST_SUPERCRITICAL)
     lab.run(s, out_dir=tmp_path / "a")
@@ -186,7 +238,10 @@ def test_frames_csv_matches_a_per_value_writer(tmp_path):
     values = np.array([[1.0, -0.25, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300],
                        [1 / 3, -7e-310, 0.0, 2.5e-320, -1.0, 0.1, -1e-300]])
     traj = Trajectory(g, [0.0, 0.1 + 0.2], values, Zero(), SolverConfig(dt=0.3))
-    lab.write_frames_csv(tmp_path / "frames.csv", traj)
+    with open(tmp_path / "frames.csv", "w") as fh:
+        frame = lab.write_frames_csv(fh, g)
+        for t, row in zip(traj.times, traj.values):
+            frame(t, row)
     expected = "t,r,u\n" + "".join(f"{t:.17g},{r:.17g},{u:.17g}\n"
                                    for t, row in zip(traj.times, values)
                                    for r, u in zip(g.nodes, row))

@@ -1,5 +1,8 @@
 import ctypes
 import pickle
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,11 +207,13 @@ def test_snapshot_stride():
     np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.10, 0.15, 0.20], atol=1e-12)
 
 
-def _growing_operator(monkeypatch):
-    """Patch L to (1 - 2^-15) I: a backward Euler step of dt = 1 multiplies u by 2^15 exactly."""
+def _growing_operator(monkeypatch, coupling=0.0):
+    """Patch L to (1 - 2^-15) I: a backward Euler step of dt = 1 multiplies u by 2^15 exactly.
+    With a tiny positive coupling off the diagonal the operator is stepped on LDL^T, by
+    at most about 2^15 (1 + 2^-44) a step; with none, on LU."""
     def operator(grid, profile, advection, outer_bc):
-        zeros = np.zeros(grid.num_nodes)
-        return zeros, np.full(grid.num_nodes, 1.0 - 2.0**-15), zeros
+        off = np.full(grid.num_nodes, coupling)
+        return off, np.full(grid.num_nodes, 1.0 - 2.0**-15), off
 
     monkeypatch.setattr(solver, "operator_diagonals", operator)
 
@@ -216,19 +221,22 @@ def _growing_operator(monkeypatch):
 def test_divergence_reported_with_step_index(monkeypatch):
     # an implicit factor that grows u must blow up, not return junk: max u = 2^(10 + 15k)
     # passes the largest double at step 68
-    _growing_operator(monkeypatch)
     g = RadialGrid(1.0, 101, 2)
     u0 = RadialField(g, 2.0**10 * GaussianData(1.0, 2).field(g).values)
-    # finiteness is checked per snapshot stride and the first bad step found
-    # by replay: every stride must name the step a per-step check names
-    for stride in (1, 7, 67, 68, 10**9):
-        cfg = SolverConfig(dt=1.0, theta=1.0, snapshot_stride=stride)
-        with pytest.raises(DivergenceError, match=r"at step 68 \(t = 68\)$"):
-            solve(u0, Zero(), cfg, 200.0)
-        # a shortened final step is checked and named as the steps before it: 2^978 is
-        # 2^1023 after three steps of dt = 1, and a step of 0.75 multiplies it by about 4
-        with pytest.raises(DivergenceError, match=r"at step 4 \(t = 3\.75\)$"):
-            solve(RadialField(g, np.full(g.num_nodes, 2.0**978)), Zero(), cfg, 3.75)
+    # finiteness is checked per snapshot stride, which backward Euler makes in one call
+    # here (neumann: no lift), and the first bad step found by replay: every stride must
+    # name the step a per-step check names, on either kernel
+    for kernel, coupling in (("lu", 0.0), ("ldlt", 2.0**-60)):
+        _growing_operator(monkeypatch, coupling)
+        for stride in (1, 7, 67, 68, 10**9):
+            cfg = SolverConfig(dt=1.0, theta=1.0, outer_bc="neumann", snapshot_stride=stride)
+            assert solve(u0, Zero(), cfg, 3.0).kernel == kernel
+            with pytest.raises(DivergenceError, match=r"at step 68 \(t = 68\)$"):
+                solve(u0, Zero(), cfg, 200.0)
+            # a shortened final step is checked and named as the steps before it: 2^978 is
+            # 2^1023 after three steps of dt = 1, and a step of 0.75 multiplies it by about 4
+            with pytest.raises(DivergenceError, match=r"at step 4 \(t = 3\.75\)$"):
+                solve(RadialField(g, np.full(g.num_nodes, 2.0**978)), Zero(), cfg, 3.75)
 
 
 def test_crank_nicolson_replay_names_the_step_a_per_step_check_names(monkeypatch):
@@ -364,34 +372,48 @@ def _addresses(*arrays):
     return [a.ctypes.data for a in arrays]
 
 
+def _repeats_in_one_call(solve, head, factors, b, ints, steps=4):
+    """Whether one solve call with nrhs = steps and ldb = 0 leaves b as steps calls with
+    nrhs = 1 do, bitwise: the whole-stride steps rely on the column loop running in order."""
+    n, one, zero, _, many = (ints.ctypes.data + k * ints.itemsize for k in range(5))
+    ints[4] = steps
+    x, x_once = b.copy(), b.copy()
+    for _ in range(steps):
+        solve(*head, n, one, *_addresses(*factors, x), n)
+    solve(*head, n, many, *_addresses(*factors, x_once), zero)
+    assert np.all(np.isfinite(x)) and not np.array_equal(x, b)
+    return np.array_equal(x_once, x)
+
+
 def test_loaded_lapack_matches_scipy_linalg_bitwise():
     from scipy.linalg import lapack
 
     rng = np.random.default_rng(7)
     N = 64
-    ints = np.array([N, 1, 0], dtype=solver.LAPACK_INT)  # n (also ldb), nrhs, info
-    n, nrhs, info = (ints.ctypes.data + k * ints.itemsize for k in range(3))
+    ints = np.array([N, 1, 0, 0, 1], dtype=solver.LAPACK_INT)  # n, 1, 0, info, nrhs
+    n, one, zero, info = (ints.ctypes.data + k * ints.itemsize for k in range(4))
     dl, du = rng.uniform(-1.0, 1.0, N - 1), rng.uniform(-1.0, 1.0, N - 1)
     d = rng.uniform(-0.1, 0.1, N)  # off-diagonals dominate: partial pivoting swaps rows
     b = rng.normal(size=N)
     ours = (dl.copy(), d.copy(), du.copy(), np.empty(N - 2), np.empty(N, dtype=solver.LAPACK_INT))
     solver.dgttrf(n, *_addresses(*ours), info)
     ref = lapack.dgttrf(dl, d, du)
-    assert ints[2] == ref[-1] == 0
+    assert ints[3] == ref[-1] == 0
     assert np.any(ours[4] != np.arange(1, N + 1)), "no row was pivoted"
     for a, r in zip(ours, ref):
         assert np.array_equal(a, r)
     x = b.copy()
-    solver.dgttrs(b"N", n, nrhs, *_addresses(*ours, x), n, info, 1)
+    solver.dgtts2(zero, n, one, *_addresses(*ours, x), n)  # itrans = 0: A x = b
     x_ref = lapack.dgttrs(*ref[:-1], b)
-    assert ints[2] == x_ref[1] == 0
+    assert x_ref[1] == 0
     assert np.array_equal(x, x_ref[0])
+    assert _repeats_in_one_call(solver.dgtts2, (zero,), ours, b, ints)
 
     # a zero column: a zero pivot in row 6
     singular = (np.zeros(N - 1), np.where(np.arange(N) == 5, 0.0, 1.0), np.zeros(N - 1),
                 np.empty(N - 2), np.empty(N, dtype=solver.LAPACK_INT))
     solver.dgttrf(n, *_addresses(*singular), info)
-    assert ints[2] == lapack.dgttrf(*singular[:3])[-1] == 6
+    assert ints[3] == lapack.dgttrf(*singular[:3])[-1] == 6
 
     # a random symmetric positive definite tridiagonal: diagonal dominance
     e = rng.uniform(-1.0, 1.0, N - 1)
@@ -399,19 +421,20 @@ def test_loaded_lapack_matches_scipy_linalg_bitwise():
     ours = (d.copy(), e.copy())
     solver.dpttrf(n, *_addresses(*ours), info)
     ref = lapack.dpttrf(d, e)
-    assert ints[2] == ref[-1] == 0
+    assert ints[3] == ref[-1] == 0
     for a, r in zip(ours, ref):
         assert np.array_equal(a, r)
     x = b.copy()
-    solver.dpttrs(n, nrhs, *_addresses(*ours, x), n, info)
+    solver.dptts2(n, one, *_addresses(*ours, x), n)
     x_ref = lapack.dpttrs(*ref[:-1], b)
-    assert ints[2] == x_ref[1] == 0
+    assert x_ref[1] == 0
     assert np.array_equal(x, x_ref[0])
+    assert _repeats_in_one_call(solver.dptts2, (), ours, b, ints)
 
     # not positive definite: a negative pivot in row 9
     indefinite = (np.where(np.arange(N) == 8, -1.0, 2.0), np.zeros(N - 1))
     solver.dpttrf(n, *_addresses(*indefinite), info)
-    assert ints[2] == lapack.dpttrf(*indefinite)[-1] == 9
+    assert ints[3] == lapack.dpttrf(*indefinite)[-1] == 9
 
 
 def test_lapack_without_the_routines_raises_import_error(monkeypatch):
@@ -419,7 +442,7 @@ def test_lapack_without_the_routines_raises_import_error(monkeypatch):
         pass
 
     monkeypatch.setattr(solver.ctypes, "CDLL", lambda path: NoSymbols())
-    with pytest.raises(ImportError, match="scipy_dpttrf_64_.*dgttrs_$"):
+    with pytest.raises(ImportError, match="scipy_dpttrf_64_.*dgtts2_$"):
         solver._bind_lapack()
 
 
@@ -456,27 +479,90 @@ def test_solve_factors_once_per_step_size(monkeypatch):
 
 
 def test_crank_nicolson_makes_one_solve_per_step(monkeypatch):
-    calls = []
+    calls = []  # (routine, its nrhs: the steps of one call)
 
-    def counting(name, kernel_solve):
-        def solve_once(*args, **kwargs):
-            calls.append(name)
-            return kernel_solve(*args, **kwargs)
+    def counting(name, kernel_solve, nrhs):
+        def solve_once(*args):
+            calls.append((name, _lapack_int(args[nrhs])))
+            return kernel_solve(*args)
         return solve_once
 
-    for name in ("dgttrs", "dpttrs"):
-        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    for name, nrhs in (("dgtts2", 2), ("dptts2", 1)):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name), nrhs))
     cfg = SolverConfig(dt=1e-2, theta=0.5, snapshot_stride=5)
     # psi = 0 centered: the symmetric kernel in n = 2, the general one in n = 3
-    for n_dim, name, kernel in ((2, "dpttrs", "ldlt"), (3, "dgttrs", "lu")):
+    for n_dim, name, kernel in ((2, "dptts2", "ldlt"), (3, "dgtts2", "lu")):
         u0 = GaussianData(1.0, n_dim).field(_grid(n_dim=n_dim, nodes=51))
         calls.clear()
         assert solve(u0, Zero(), cfg, 0.2).kernel == kernel
-        assert calls == [name] * 20
+        assert calls == [(name, 1)] * 20
         calls.clear()
         solve(u0, Zero(), cfg, 0.205)  # 20 full steps and a shortened final one
-        assert calls == [name] * 21
+        assert calls == [(name, 1)] * 21
 
+    # backward Euler: one call per stride without a lift, the shortened step its own; one
+    # call per step where the frozen outer node lifts the row before it (u0 = 1.4e-11 there)
+    backward = replace(cfg, theta=1.0)
+    strides = [5, 5, 5, 5, 1]
+    lifted = GaussianData(1.0, 2).field(_grid(nodes=51))
+    assert lifted.values[-1] > 0
+    unlifted = RadialField(lifted.grid, np.where(lifted.grid.nodes < 10.0, lifted.values, 0.0))
+    for u0, bc, name, steps in (
+            (GaussianData(1.0, 3).field(_grid(n_dim=3, nodes=51)), "dirichlet_frozen",
+             "dgtts2", strides),
+            (lifted, "neumann", "dptts2", strides),
+            (unlifted, "dirichlet_frozen", "dptts2", strides),
+            (lifted, "dirichlet_frozen", "dptts2", [1] * 21)):
+        calls.clear()
+        solve(u0, Zero(), replace(backward, outer_bc=bc), 0.205)
+        assert calls == [(name, k) for k in steps], (name, bc)
+
+
+def test_frame_is_called_once_per_stored_frame_in_order():
+    # by one thread beside the solve where backward Euler makes whole strides (no lift), by
+    # this one after each stride otherwise; the thread is joined before solve returns
+    u0 = GaussianData(1.0, 2).field(_grid(nodes=51))
+    threads = threading.active_count()
+    for theta, bc, beside in ((1.0, "neumann", True), (1.0, "dirichlet_frozen", False),
+                              (0.5, "neumann", False)):
+        seen = []
+
+        def frame(t, row):
+            seen.append((t, row.copy(), threading.current_thread() is threading.main_thread()))
+
+        cfg = SolverConfig(dt=1e-2, theta=theta, outer_bc=bc, snapshot_stride=7)
+        traj = solve(u0, Zero(), cfg, 0.205, frame=frame)
+        assert [t for t, _, _ in seen] == traj.times.tolist()
+        assert np.array_equal(np.stack([row for _, row, _ in seen]), traj.values)
+        assert [here for *_, here in seen] == [True] + [not beside] * (len(traj) - 1)
+        assert threading.active_count() == threads
+
+
+def test_a_frame_writer_that_fails_beside_the_solve_stops_it(monkeypatch):
+    # the writer thread fails on the first stride's frame while the second stride waits:
+    # storing the second stride's frame raises the writer's exception, and no third stride
+    # is made
+    threads, calls, solve_once = threading.active_count(), [], solver.dptts2
+
+    def waiting(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            for _ in range(10_000):  # at most 10 s for the writer thread to end
+                if threading.active_count() == threads:
+                    break
+                time.sleep(1e-3)
+        return solve_once(*args)
+
+    def frame(t, row):
+        if t > 0:
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(solver, "dptts2", waiting)
+    u0 = GaussianData(1.0, 2).field(_grid(nodes=51))
+    cfg = SolverConfig(dt=1e-2, theta=1.0, outer_bc="neumann", snapshot_stride=5)
+    with pytest.raises(OSError, match="No space left on device"):
+        solve(u0, Zero(), cfg, 0.5, frame=frame)
+    assert len(calls) == 2 and threading.active_count() == threads
 
 def test_zero_pivot_raises_solver_error(monkeypatch):
     # I - theta*dt*L with a zero row: theta*dt*diag = 1 exactly at node 5
