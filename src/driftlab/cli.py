@@ -36,6 +36,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_classify(args) -> int:
     scenario = _load_scenario(args.config)
+    if args.out:  # an --out no directory can take is refused before the work, not after it
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = classify(scenario.profile, scenario.n_dim)
     if not args.quiet:
         L = result.growth_limit
@@ -95,6 +97,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = [name for s in args.suite for name in (lab.suite_names() if s == "all" else [s])]
+    if args.out and set(suites) <= set(lab.suite_names()):  # else verify refuses them first
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     reports = lab.verify(*suites)
     for report in reports:
         summary = f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"
@@ -153,7 +157,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:  # OSError: an --out no directory can take
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

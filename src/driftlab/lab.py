@@ -532,21 +532,22 @@ def sweep(base: Scenario, parameter: str, values, threads: int = 1,
     remaining runs, and a child that dies marks only its own row with
     BrokenProcessPool, while the other rows go on.
     Each row is labelled by its value to 6 significant digits; two values
-    with one label raise ScenarioError before any row runs.
+    with one label raise ScenarioError, and an out_dir that cannot be made OSError,
+    before any row runs.
     """
     values = list(values)
     labels = [f"{value:g}" for value in values]
     if len(set(labels)) < len(labels):
         raise ScenarioError(f"sweep values must differ in 6 significant digits, "
                             f"got the row labels {', '.join(labels)}")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     one = functools.partial(_sweep_one, base, parameter, out_dir)
     rows = _fork_map(one, list(zip(values, labels)), threads,
                      lambda v, label, exc: SweepRow(v, label, error=f"BrokenProcessPool: {exc}"))
     table = _sweep_table(parameter, rows)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep_summary.txt").write_text(table + "\n")
+        (Path(out_dir) / "sweep_summary.txt").write_text(table + "\n")
     return SweepResult(parameter=parameter, rows=rows, table=table)
 
 

@@ -227,73 +227,61 @@ def _log_scales(lo, up, m):
 
 
 class _ThetaStepper:
-    """Theta-scheme for one fixed dt, factored once.
+    """Theta-scheme for one fixed dt, factored once, with the state u loaded.
 
-    load(u) sets the state the steps act on, advance(steps) replaces it with the state that
-    many steps on and field() reads u back; kernel names the factorization, "ldlt" (dpttrf on
-    the symmetrized system) or "lu" (dgttrf on L itself).  The stepper owns the state's
-    memory, one buffer at theta = 1 and two taking turns below, and calls the solve with the
-    addresses it took when built: no step asks numpy for an address.  whole_strides tells
-    whether advance makes its steps in one call of the solve.
+    advance(steps) replaces the state with the state that many steps on and field() returns
+    u of it in a fresh array; kernel names the factorization, "ldlt" (dpttrf on the
+    symmetrized system) or "lu" (dgttrf on L itself).  Both step y = u/s: the LU kernel
+    with unit scales, all N rows in the state and no lift.  The stepper owns the state's
+    memory, one buffer whose address never changes (below theta = 1 the solve writes a
+    spare and the new state is formed in place), and calls the solve with the addresses it
+    took when built: no step asks numpy for an address.  whole_strides tells whether
+    advance makes its steps in one call of the solve.
     """
 
-    def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float):
+    def __init__(self, grid: RadialGrid, profile: DriftProfile, config: SolverConfig, dt: float,
+                 u: np.ndarray):
         lo, d, up = operator_diagonals(grid, profile, config.advection, config.outer_bc)
         theta = config.theta
         N = grid.num_nodes
         # a frozen outer node is an identity row: a constant lift on the row before it
         m = N - 1 if config.outer_bc == "dirichlet_frozen" else N
         log_s = _log_scales(lo, up, m)
-        lu, self._lift = log_s is None, 0.0
-        rows = N if lu else m
-        # n, nrhs, zero (itrans, ldb), info
-        self._ints = np.array([rows, 1, 0, 0], dtype=LAPACK_INT)
-        n, nrhs, zero, info = (self._ints.ctypes.data + k * LAPACK_INT.itemsize for k in range(4))
+        lu = log_s is None
         if lu:
-            self.kernel, self._scale = "lu", None
+            self.kernel, self._scale = "lu", np.ones(N)
             self._factors = (-theta * dt * lo[1:], 1.0 - theta * dt * d, -theta * dt * up[:-1],
                              np.empty(N - 2), np.empty(N, dtype=LAPACK_INT))
             factor, self._solve = dgttrf, dgtts2
             failure = "singular implicit system: zero pivot in row"
         else:
             self.kernel, self._scale = "ldlt", np.exp(log_s)
-            self._outer_coupling = dt * up[m - 1] / self._scale[-1]  # frozen node to row m-1
             off = np.sqrt(lo[1:m] * up[:m - 1])
             self._factors = (1.0 - theta * dt * d[:m], -theta * dt * off)
             factor, self._solve = dpttrf, dptts2
             failure = "implicit system not positive definite at row"
+        rows = len(self._scale)
+        # n, nrhs, zero (itrans, ldb), info
+        self._ints = np.array([rows, 1, 0, 0], dtype=LAPACK_INT)
+        n, nrhs, zero, info = (self._ints.ctypes.data + k * LAPACK_INT.itemsize for k in range(4))
         factors = [a.ctypes.data for a in self._factors]
         factor(n, *factors, info)
         if self._ints[3] > 0:
             raise SolverError(f"{failure} {self._ints[3]}")
-        # dgtts2(itrans, n, nrhs, dl, d, du, du2, ipiv, b, ldb) and
-        # dptts2(n, nrhs, d, e, b, ldb), each solving in place in the buffer b
-        head = (zero,) * lu + (n, nrhs, *factors)
         self._theta = theta
         # the explicit half folded into the solve (see the module docstring)
         self._fold = (1.0 - theta) / theta
-        # below theta = 1 the solve writes a spare buffer and the old state becomes the spare
-        self.state = np.empty(rows)
+        self.state = np.divide(u[:rows], self._scale)
+        self._outer = u[rows:].copy()
+        self._lift = dt * up[rows - 1] / self._scale[-1] * u[-1] if rows < N else 0.0
+        self.whole_strides = theta == 1.0 and not self._lift
+        # below theta = 1 the solve writes the spare; dgtts2(itrans, n, nrhs, dl, d, du, du2,
+        # ipiv, b, ldb) and dptts2(n, nrhs, d, e, b, ldb) each solve in place in b
         self._spare = np.empty(rows) if theta < 1.0 else self.state
-        self._call, self._spare_call = (head + (b.ctypes.data, zero)
-                                        for b in (self.state, self._spare))
-
-    def load(self, u: np.ndarray):
-        """Set the state from u: y = u/s without the frozen node on the symmetric path, u
-        itself on the general one."""
-        if self._scale is None:
-            self.state[:] = u
-        else:
-            m = len(self._scale)
-            self._outer = u[m:].copy()
-            self._lift = self._outer_coupling * u[-1] if m < len(u) else 0.0
-            np.divide(u[:m], self._scale, out=self.state)
-        self.whole_strides = self._theta == 1.0 and not self._lift
+        self._call = (zero,) * lu + (n, nrhs, *factors, self._spare.ctypes.data, zero)
 
     def field(self) -> np.ndarray:
-        """u of the state; valid until the next advance."""
-        if self._scale is None:
-            return self.state
+        """u of the state, in a fresh array."""
         return np.concatenate((self._scale * self.state, self._outer))
 
     def advance(self, steps: int = 1):
@@ -308,20 +296,18 @@ class _ThetaStepper:
             self._ints[1] = steps
             self._solve(*self._call)
             return
-        theta, fold, lift, solve = self._theta, self._fold, self._lift, self._solve
+        theta, fold, lift = self._theta, self._fold, self._lift
+        x, rhs, solve, call = self.state, self._spare, self._solve, self._call
         for _ in range(steps):
-            x, rhs = self.state, self._spare
             if theta < 1.0:
                 np.multiply(x, 1.0 / theta, out=rhs)
             if lift:
                 rhs[-1] += lift
-            solve(*self._spare_call)
+            solve(*call)
             if theta < 1.0:
                 if fold != 1.0:
                     x *= fold
-                rhs -= x
-            self.state, self._spare = rhs, x
-            self._call, self._spare_call = self._spare_call, self._call
+                np.subtract(rhs, x, out=x)
 
 
 def step(u: RadialField, profile: DriftProfile, config: SolverConfig) -> RadialField:
@@ -353,7 +339,8 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
           frame=None) -> Trajectory:
     """Step the segments of step_plan, with snapshots every snapshot_stride steps.
 
-    Each segment is factored once.  The final snapshot lands exactly at t_end; t_end = 0
+    Each segment is factored once, and its steps act in place on the one state buffer of its
+    stepper.  The final snapshot lands exactly at t_end; t_end = 0
     yields the single frame (0, u0), and a plan without a step (0 <= t_end <= dt * 1e-9)
     no kernel.  The (frames x nodes) block is allocated once from the step count.
     frame(t, row), where given, is called once per stored frame, in order, with a row of
@@ -375,8 +362,7 @@ def solve(u0: RadialField, profile: DriftProfile, config: SolverConfig, t_end: f
     v, k, kernel = u0.values, 0, None
     try:
         for size, count in segments:
-            stepper = _ThetaStepper(grid, profile, config, size)
-            stepper.load(v)
+            stepper = _ThetaStepper(grid, profile, config, size, v)
             if stepper.whole_strides and frame is not None and join is None:
                 put, join = _beside(frame)
             good_k, good_x, end = k, stepper.state.copy(), k + count

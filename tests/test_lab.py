@@ -1089,6 +1089,28 @@ def test_cli_rejects_a_run_name_outside_out(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
 
 
+@pytest.mark.parametrize("command,args", [("simulate", []), ("classify", []),
+                                          ("sweep", ["--param", "A", "--values", "1,2"]),
+                                          ("verify", [])])
+def test_cli_refuses_an_out_that_is_a_file_before_any_run(tmp_path, capsys, monkeypatch,
+                                                          command, args):
+    made = []
+
+    def simulate(scenario, frame=None):  # a verify run of this process, or a sweep row
+        made.append(scenario.name)
+        raise RuntimeError("a run was made")
+
+    monkeypatch.setattr(lab, "simulate", simulate)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    target = "oracle" if command == "verify" else _write_config(tmp_path, FAST_SUPERCRITICAL)
+    assert cli.main([command, target, *args, "--quiet", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and made == []
+    assert taken.read_text() == "a file\n"
+
+
 def test_cli_sweep_integer_parameter_asks_for_an_integer(tmp_path, capsys):
     cfg = _write_config(tmp_path, FAST_SUPERCRITICAL)
     assert cli.main(["sweep", cfg, "--param", "num_nodes", "--values", "2.5"]) == 2

@@ -2,6 +2,7 @@ import ctypes
 import pickle
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -240,9 +241,10 @@ def test_divergence_reported_with_step_index(monkeypatch):
 
 
 def test_crank_nicolson_replay_names_the_step_a_per_step_check_names(monkeypatch):
-    # theta < 1 steps alternate between the stepper's two buffers; a replay from the last
-    # finite snapshot must still meet the step that stride 1 meets.  A Crank-Nicolson step
-    # of the growing operator multiplies u by about 3, past the largest double at step 640
+    # theta < 1 steps form each state in place from the solve's spare buffer; a replay from
+    # the last finite snapshot must still meet the step that stride 1 meets.  A
+    # Crank-Nicolson step of the growing operator multiplies u by about 3, past the largest
+    # double at step 640
     _growing_operator(monkeypatch)
     g = RadialGrid(1.0, 101, 2)
     u0 = RadialField(g, 2.0**10 * GaussianData(1.0, 2).field(g).values)
@@ -516,6 +518,91 @@ def test_crank_nicolson_makes_one_solve_per_step(monkeypatch):
         calls.clear()
         solve(u0, Zero(), replace(backward, outer_bc=bc), 0.205)
         assert calls == [(name, k) for k in steps], (name, bc)
+
+
+def _recurrence(u0, profile, cfg, steps):
+    """The module docstring's step as a plain loop with scipy's LAPACK: dpttrf/dpttrs on
+    y = u/s, a frozen outer node lifting the row before it, or dgttrf/dgttrs on u itself,
+    in the stepper's operation order.  Returns u after each step."""
+    from scipy.linalg import lapack
+
+    lo, d, up = operator_diagonals(u0.grid, profile, cfg.advection, cfg.outer_bc)
+    theta, dt, u, N = cfg.theta, cfg.dt, u0.values, u0.grid.num_nodes
+    m = N - 1 if cfg.outer_bc == "dirichlet_frozen" else N
+    log_s = solver._log_scales(lo, up, m)
+    if log_s is None:
+        s, m, lift = np.ones(N), N, 0.0
+        factors = lapack.dgttrf(-theta * dt * lo[1:], 1.0 - theta * dt * d,
+                                -theta * dt * up[:-1])[:-1]
+        solve_lapack = lapack.dgttrs
+    else:
+        s = np.exp(log_s)
+        lift = dt * up[m - 1] / s[-1] * u[-1] if m < N else 0.0
+        factors = lapack.dpttrf(1.0 - theta * dt * d[:m],
+                                -theta * dt * np.sqrt(lo[1:m] * up[:m - 1]))[:-1]
+        solve_lapack = lapack.dpttrs
+    y, frames = u[:m] / s, []
+    for _ in range(steps):
+        rhs = y * (1.0 / theta) if theta < 1.0 else y.copy()
+        if lift:
+            rhs[-1] += lift
+        x, info = solve_lapack(*factors, rhs)
+        assert info == 0
+        y = x - y * ((1.0 - theta) / theta) if theta < 1.0 else x
+        frames.append(np.concatenate((s * y, u[m:])))
+    return frames
+
+
+@pytest.mark.parametrize("profile,n_dim,kernel", [(PowerLaw(3.0, -1.0, 1.0), 2, "ldlt"),
+                                                  (Zero(), 3, "lu")])
+@pytest.mark.parametrize("theta,outer_bc", [(0.5, "dirichlet_frozen"), (0.7, "dirichlet_frozen"),
+                                            (1.0, "dirichlet_frozen"), (1.0, "neumann")])
+def test_solve_is_the_step_recurrence_bitwise(profile, n_dim, kernel, theta, outer_bc):
+    # 60 steps at stride 7: per-step calls with a lift on ldlt's frozen node (u0 = 0.044
+    # there), whole strides in one call at theta = 1 without one; the bits of every frame
+    g = _grid(n_dim=n_dim, nodes=101)
+    u0 = GaussianData(8.0, n_dim).field(g)
+    cfg = SolverConfig(dt=1e-2, theta=theta, outer_bc=outer_bc, snapshot_stride=7)
+    traj = solve(u0, profile, cfg, 0.6)
+    frames = _recurrence(u0, profile, cfg, 60)
+    assert traj.kernel == kernel and len(traj) == 10
+    assert np.array_equal(traj.values, np.stack([u0.values, *frames[6::7], frames[-1]]))
+
+
+@pytest.mark.parametrize("n_dim,kernel", [(2, "ldlt"), (3, "lu")])
+@pytest.mark.parametrize("theta,outer_bc", [(0.5, "dirichlet_frozen"), (0.7, "dirichlet_frozen"),
+                                            (1.0, "dirichlet_frozen"), (1.0, "neumann")])
+def test_steps_allocate_no_array(n_dim, kernel, theta, outer_bc):
+    # the stepper's buffers and call addresses are made once, when it is built
+    g = _grid(n_dim=n_dim, nodes=2001)
+    cfg = SolverConfig(dt=1e-3, theta=theta, outer_bc=outer_bc)
+    stepper = solver._ThetaStepper(g, Zero(), cfg, cfg.dt,
+                                   GaussianData(8.0, n_dim).field(g).values)
+    assert stepper.kernel == kernel
+    assert stepper.whole_strides == (theta == 1.0 and (kernel == "lu" or outer_bc == "neumann"))
+    stepper.advance(2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper.advance(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * g.num_nodes
+
+
+def test_a_field_read_before_advance_is_unchanged_after_it():
+    for n_dim, kernel in ((2, "ldlt"), (3, "lu")):
+        g = _grid(n_dim=n_dim, nodes=51)
+        cfg = SolverConfig(dt=1e-2)
+        stepper = solver._ThetaStepper(g, Zero(), cfg, cfg.dt,
+                                       GaussianData(1.0, n_dim).field(g).values)
+        assert stepper.kernel == kernel
+        read = stepper.field()
+        kept = read.copy()
+        stepper.advance(5)
+        assert np.array_equal(read, kept), kernel
+        assert not np.array_equal(stepper.field(), kept)
 
 
 def test_frame_is_called_once_per_stored_frame_in_order():
